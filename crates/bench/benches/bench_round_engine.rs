@@ -83,9 +83,10 @@ fn bench_round_mixed_traffic(c: &mut Criterion) {
 /// The struct-of-arrays scale bench: one iteration is one full push
 /// round, i.e. exactly `n` contacts resolved, loss-checked and
 /// delivered — so ns/iter ÷ `n` is the engine's ns/contact. The
-/// normalized table printed afterwards does that division; a flat
-/// column (2^20 within ~3× of 2^10) means a round streams through the
-/// bitset/SoA layout instead of falling off a cache cliff.
+/// normalized table printed afterwards does that division. It is a
+/// single-sample readout, not a gate: its 2^20/2^10 ratio moves by 2×
+/// between back-to-back runs on one box. perfbench's
+/// `network.ns_per_contact` is the measured number.
 fn bench_ns_per_contact(c: &mut Criterion) {
     let sizes = [1usize << 10, 1 << 14, 1 << 17, 1 << 20];
     // ~2^23 contacts of work per size: enough samples to be stable at
@@ -106,8 +107,8 @@ fn bench_ns_per_contact(c: &mut Criterion) {
     }
     g.finish();
 
-    // Normalized readout: ns per contact at each size, plus the scale
-    // ratio the acceptance bar tracks (2^20 vs 2^10).
+    // Normalized readout: ns per contact at each size, plus the 2^20 vs
+    // 2^10 scale ratio — one sample each, so informational only.
     let mut per_contact = Vec::new();
     for n in sizes {
         let mut net: Network<St> = Network::new(n, 3);

@@ -39,9 +39,11 @@
 //!
 //! A plain `allow(rule)` covers the same line or the next code line
 //! below the comment; `allow-file(rule)` covers the whole file (used
-//! for per-file audits like the ID directory). A suppression without a
-//! justification is itself a finding, and that one cannot be
-//! suppressed.
+//! for per-file audits like the edge-list relabeling map). A
+//! suppression without a justification is itself a finding, and that
+//! one cannot be suppressed. So is a stale suppression — one that
+//! covers no finding of its rule — because the audit it records is of
+//! code that is gone.
 //!
 //! The linter is dependency-free on purpose: the vendored deps are
 //! API-stub crates, so there is no `syn` or `dylint` to lean on — and a
@@ -95,7 +97,8 @@ pub enum Rule {
     GoldenTable,
     /// The committed stream registry no longer matches the source.
     RegistryDrift,
-    /// A malformed suppression (no justification, unknown rule, ...).
+    /// A malformed suppression (no justification, unknown rule, ...)
+    /// or a stale one that covers no finding.
     BadSuppression,
 }
 
@@ -236,6 +239,8 @@ pub fn is_crate_root(path: &str) -> bool {
 #[derive(Clone, Debug)]
 struct Suppression {
     rule: Rule,
+    /// Line of the comment itself, for the stale-suppression finding.
+    line: u32,
     /// `None` = file-scoped; `Some(line)` = covers exactly that line.
     covers: Option<u32>,
     justification: String,
@@ -351,6 +356,7 @@ fn collect_suppressions(
         };
         out.push(Suppression {
             rule,
+            line: c.start_line,
             covers,
             justification,
         });
@@ -563,6 +569,7 @@ pub fn lint_files(files: &[SourceFile], committed_registry: Option<&str>) -> Lin
         .enumerate()
         .map(|(i, f)| (f.path.as_str(), i))
         .collect();
+    let mut used: Vec<Vec<bool>> = suppressions.iter().map(|s| vec![false; s.len()]).collect();
     for f in &mut findings {
         if !f.rule.suppressible() {
             continue;
@@ -570,11 +577,34 @@ pub fn lint_files(files: &[SourceFile], committed_registry: Option<&str>) -> Lin
         let Some(&fi) = by_path.get(f.path.as_str()) else {
             continue;
         };
-        if let Some(s) = suppressions[fi]
-            .iter()
-            .find(|s| s.rule == f.rule && (s.covers.is_none() || s.covers == Some(f.line)))
-        {
-            f.suppressed = Some(s.justification.clone());
+        for (si, s) in suppressions[fi].iter().enumerate() {
+            if s.rule == f.rule && (s.covers.is_none() || s.covers == Some(f.line)) {
+                used[fi][si] = true;
+                f.suppressed.get_or_insert_with(|| s.justification.clone());
+            }
+        }
+    }
+    // A suppression that silences nothing is an audit of code that no
+    // longer exists; left in place it would wave through whatever
+    // hazard later lands under it.
+    for (fi, file) in files.iter().enumerate() {
+        for (s, &in_use) in suppressions[fi].iter().zip(&used[fi]) {
+            if in_use {
+                continue;
+            }
+            let scope = if s.covers.is_some() {
+                "allow"
+            } else {
+                "allow-file"
+            };
+            findings.push(bad_suppression(
+                &file.path,
+                s.line,
+                format!(
+                    "stale suppression: `{scope}({rule})` covers no `{rule}` finding; delete it",
+                    rule = s.rule.name()
+                ),
+            ));
         }
     }
 

@@ -281,6 +281,54 @@ fn malformed_suppressions_are_findings_and_do_not_silence() {
 }
 
 #[test]
+fn stale_suppressions_are_findings() {
+    // A line-scoped allow over a line with no finding of its rule.
+    let line = "fn f() {} // detlint: allow(hash_order) — lookup-only\n";
+    let report = lint(&[("crates/core/src/x.rs", line)]);
+    assert_eq!(
+        fired(&report, Rule::BadSuppression),
+        vec![("crates/core/src/x.rs".to_string(), 1)]
+    );
+    let message = stale_message(&report);
+    assert!(message.contains("allow(hash_order)"), "{message}");
+
+    // A file-scoped allow whose hazard was deleted: the comment on
+    // line 2 is reported, naming its rule.
+    let file =
+        "fn f() {}\n// detlint: allow-file(hash_order) — the map is lookup-only\nfn g() {}\n";
+    let report = lint(&[("crates/phonecall/src/id.rs", file)]);
+    assert_eq!(
+        fired(&report, Rule::BadSuppression),
+        vec![("crates/phonecall/src/id.rs".to_string(), 2)]
+    );
+    let message = stale_message(&report);
+    assert!(message.contains("allow-file(hash_order)"), "{message}");
+
+    // An allow for one rule is stale even where another rule fires.
+    let other = "use std::collections::HashMap; // detlint: allow(wall_clock) — not a clock\n";
+    let report = lint(&[("crates/core/src/x.rs", other)]);
+    assert_eq!(fired(&report, Rule::BadSuppression).len(), 1);
+    assert_eq!(fired(&report, Rule::HashOrder).len(), 1);
+
+    // A suppression that covers a finding is in use, not stale.
+    let used = "// detlint: allow-file(hash_order) — lookup-only\nuse std::collections::HashMap;\n";
+    let report = lint(&[("crates/core/src/x.rs", used)]);
+    assert!(
+        fired(&report, Rule::BadSuppression).is_empty(),
+        "{report:?}"
+    );
+    assert!(fired(&report, Rule::HashOrder).is_empty());
+}
+
+fn stale_message(report: &LintReport) -> &str {
+    &report
+        .unsuppressed()
+        .find(|f| f.rule == Rule::BadSuppression)
+        .expect("a bad_suppression finding")
+        .message
+}
+
+#[test]
 fn doc_comments_mentioning_directives_are_prose() {
     let src = "//! Suppress with `detlint: allow(hash_order)` and a reason.\n\
                /// See `detlint: allow-file(unsafe_code)` in the alloc test.\n\

@@ -17,6 +17,11 @@
 //! and at `n = 2^20` — the struct-of-arrays engine sizes its columns
 //! once at construction, so the zero must be scale-independent.
 //!
+//! The same counter also weighs construction itself: building a
+//! 2^20-node network may allocate only the per-node state, the fan-in
+//! counters and the two bitsets. Node IDs are computed, not stored, so
+//! an ID directory or any other per-node side table fails the test.
+//!
 //! It lives in its own integration-test binary (one `#[test]` function)
 //! so no concurrently running test can pollute the allocation counter —
 //! and the counter is **thread-local**, because the libtest harness
@@ -36,28 +41,35 @@ thread_local! {
     /// Allocation-path calls made by *this* thread. Const-initialized so
     /// reading it from inside the allocator never itself allocates.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes requested by those calls (`realloc` counts the new size).
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+    let _ = BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// `System`, plus a per-thread count of every allocation-path call.
 struct CountingAlloc;
 
-// SAFETY: defers every operation to `System`; the counter has no effect
-// on the returned memory. The thread-local access uses `try_with` so a
-// late allocation during thread teardown (destroyed TLS) is simply not
-// counted rather than aborting.
+// SAFETY: defers every operation to `System`; the counters have no
+// effect on the returned memory. The thread-local access uses `try_with`
+// so a late allocation during thread teardown (destroyed TLS) is simply
+// not counted rather than aborting.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -71,6 +83,10 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+fn bytes_allocated() -> u64 {
+    BYTES.with(Cell::get)
 }
 
 #[derive(Clone, Default)]
@@ -282,7 +298,20 @@ fn round_loop_does_not_allocate_in_steady_state() {
     // n = 2^20. A short measured window keeps the debug-build test
     // quick — zero is zero at any window length; what scale tests is
     // that no column ever regrows.
-    let mut huge: Network<St> = Network::new(1 << 20, 45);
+    //
+    // Construction is weighed too: per node, the state plus a `u32`
+    // fan-in counter, plus one bit each for the alive and touched
+    // masks, plus a fixed 4 KiB of slack. A per-node ID table would
+    // add 8+ bytes a node and blow the budget.
+    const HUGE: usize = 1 << 20;
+    let before = bytes_allocated();
+    let mut huge: Network<St> = Network::new(HUGE, 45);
+    let built = bytes_allocated() - before;
+    let budget = HUGE * (std::mem::size_of::<St>() + 4) + HUGE / 4 + 4096;
+    assert!(
+        built <= budget as u64,
+        "building a {HUGE}-node network allocated {built} bytes, budget {budget}"
+    );
     huge.set_churn(
         ChurnConfig {
             crash_rate: 0.5,
