@@ -54,25 +54,7 @@ pub fn rumor_network(n: usize, cfg: &CommonConfig) -> Network<RumorNode> {
     assert!(n >= 2, "gossip needs at least two nodes");
     assert!((cfg.source as usize) < n, "source index out of range");
     let mut net: Network<RumorNode> = Network::new(n, cfg.seed);
-    net.apply_failures(&cfg.failures);
-    net.set_message_loss(cfg.message_loss);
-    // Same stream labels as ClusterSim (4 = churn, 5 = topology, 6 =
-    // traffic; `set_engine` derives the async 7/8/9 streams internally),
-    // so one scenario means one crash/recovery/burst history, one
-    // contact graph, one rumor stream and one event timeline for every
-    // algorithm.
-    net.set_churn(cfg.churn.clone(), phonecall::derive_seed(cfg.seed, 4));
-    net.set_topology(
-        cfg.topology.clone(),
-        cfg.addressing,
-        phonecall::derive_seed(cfg.seed, 5),
-    );
-    net.set_traffic(
-        cfg.traffic.clone(),
-        cfg.rumor_bits,
-        phonecall::derive_seed(cfg.seed, 6),
-    );
-    net.set_engine(cfg.engine.clone(), cfg.seed);
+    cfg.install(&mut net);
     net.states_mut()[cfg.source as usize].informed = true;
     for &extra in &cfg.extra_sources {
         assert!((extra as usize) < n, "extra source index out of range");

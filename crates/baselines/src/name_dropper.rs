@@ -129,32 +129,15 @@ fn is_complete(net: &Network<DiscoveryNode>) -> bool {
 fn run_net(n: usize, topology: Topology, cfg: &CommonConfig) -> Network<DiscoveryNode> {
     assert!(n >= 2, "discovery needs at least two nodes");
     let mut net: Network<DiscoveryNode> = Network::new(n, cfg.seed);
-    // Discovery faces the same environment as the broadcast tasks:
-    // failures, loss and the dynamic adversary (all inert by default, so
-    // historical runs are untouched).
-    net.apply_failures(&cfg.failures);
-    net.set_message_loss(cfg.message_loss);
-    net.set_churn(cfg.churn.clone(), phonecall::derive_seed(cfg.seed, 4));
-    // The communication topology (stream label 5, shared with every
-    // other algorithm). Note the *knowledge* seed graph below is a
-    // property of the task, independent of the contact graph: under
+    // Discovery faces the same environment as the broadcast tasks
+    // (failures, loss, churn, contact graph, workload and engine; all
+    // inert by default, so historical runs are untouched). Workload
+    // rumors ride the ID-list messages like any other payload. The
+    // *knowledge* seed graph below is a property of the task,
+    // independent of the contact graph: under
     // `DirectAddressing::Restricted` a known ID without a link is
     // unusable, which is exactly the regime E11 probes.
-    net.set_topology(
-        cfg.topology.clone(),
-        cfg.addressing,
-        phonecall::derive_seed(cfg.seed, 5),
-    );
-    // The multi-rumor workload (stream label 6, shared too): workload
-    // rumors ride the ID-list messages like any other payload.
-    net.set_traffic(
-        cfg.traffic.clone(),
-        cfg.rumor_bits,
-        phonecall::derive_seed(cfg.seed, 6),
-    );
-    // The engine schedule (async streams 7/8/9 derived internally from
-    // the raw scenario seed; `Engine::Sync` installs nothing).
-    net.set_engine(cfg.engine.clone(), cfg.seed);
+    cfg.install(&mut net);
     let id_bits = phonecall::id_bits(n);
 
     // Seed the initial knowledge graph.

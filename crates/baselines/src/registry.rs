@@ -27,6 +27,7 @@ use gossip_core::algo::{
 };
 use gossip_core::params::{ParamError, Value};
 use gossip_core::report::RunReport;
+use phonecall::normalize_name;
 
 use crate::name_dropper::{self, Topology};
 use crate::{avin_elsasser, karp, pull, push, push_pull, tree};
@@ -274,15 +275,6 @@ impl fmt::Display for UnknownAlgorithm {
 
 impl std::error::Error for UnknownAlgorithm {}
 
-/// Case- and separator-insensitive key: `"push-pull"`, `"push_pull"` and
-/// `"PushPull"` all address the same algorithm.
-fn normalize(name: &str) -> String {
-    name.chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
-}
-
 /// Looks an algorithm up by name (case- and separator-insensitive).
 ///
 /// # Errors
@@ -290,10 +282,10 @@ fn normalize(name: &str) -> String {
 /// Returns [`UnknownAlgorithm`] — whose `Display` lists every valid
 /// name — when nothing matches.
 pub fn by_name(name: &str) -> Result<&'static dyn Algorithm, UnknownAlgorithm> {
-    let key = normalize(name);
+    let key = normalize_name(name);
     all()
         .iter()
-        .find(|a| normalize(a.name()) == key)
+        .find(|a| normalize_name(a.name()) == key)
         .copied()
         .ok_or_else(|| UnknownAlgorithm { name: name.into() })
 }

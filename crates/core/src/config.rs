@@ -8,8 +8,8 @@
 //! EXPERIMENTS.md).
 
 use phonecall::{
-    AsyncConfig, ChurnConfig, DirectAddressing, Engine, FailurePlan, Latency, NodeIdx, Topology,
-    TrafficConfig,
+    derive_seed, AsyncConfig, ChurnConfig, DirectAddressing, Engine, FailurePlan, Latency, Network,
+    NodeIdx, Topology, TrafficConfig,
 };
 use serde::{Deserialize, Serialize};
 
@@ -103,6 +103,36 @@ impl CommonConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
+    }
+
+    /// Installs the scenario's environment on `net`: the time-0 failure
+    /// plan, message loss, the dynamic adversary, the contact graph, the
+    /// multi-rumor workload and the execution engine. Every algorithm's
+    /// network is set up here, so one scenario means one graph, one
+    /// adversary history, one rumor stream and one event timeline for
+    /// every algorithm. Inert configs, the complete topology and the
+    /// sync engine install nothing.
+    ///
+    /// Stream labels under the scenario seed: 1/2 are the engine's (IDs,
+    /// targets), 3 the cluster algorithms' RNG, 4 the churn schedule, 5
+    /// the topology, 6 the traffic plan, and 7/8/9 the async engine's
+    /// clock/latency/delivery streams, which `set_engine` derives from
+    /// the raw seed itself.
+    pub fn install<S>(&self, net: &mut Network<S>) {
+        net.apply_failures(&self.failures);
+        net.set_message_loss(self.message_loss);
+        net.set_churn(self.churn.clone(), derive_seed(self.seed, 4));
+        net.set_topology(
+            self.topology.clone(),
+            self.addressing,
+            derive_seed(self.seed, 5),
+        );
+        net.set_traffic(
+            self.traffic.clone(),
+            self.rumor_bits,
+            derive_seed(self.seed, 6),
+        );
+        net.set_engine(self.engine.clone(), self.seed);
     }
 
     /// The whole environment as a JSON object: the scalar knobs, the

@@ -62,30 +62,7 @@ impl ClusterSim {
             phases: Vec::new(),
             phase_start: (0, 0, 0),
         };
-        sim.apply_failures(&common.failures);
-        sim.net.set_message_loss(common.message_loss);
-        // Stream labels: 1/2 are the engine's (ids, targets), 3 is the
-        // algorithm RNG above, 4 the churn schedule, 5 the topology, 6
-        // the traffic plan, and 7/8/9 the async engine's clock/latency/
-        // delivery streams — `set_engine` derives those internally from
-        // the raw scenario seed (shared with the baselines, so one
-        // scenario means one graph — and one adversary history, one
-        // rumor stream, and one event timeline — for every algorithm).
-        // Inert configs, the complete topology and the sync engine
-        // schedule/install nothing.
-        sim.net
-            .set_churn(common.churn.clone(), phonecall::derive_seed(common.seed, 4));
-        sim.net.set_topology(
-            common.topology.clone(),
-            common.addressing,
-            phonecall::derive_seed(common.seed, 5),
-        );
-        sim.net.set_traffic(
-            common.traffic.clone(),
-            common.rumor_bits,
-            phonecall::derive_seed(common.seed, 6),
-        );
-        sim.net.set_engine(common.engine.clone(), common.seed);
+        common.install(&mut sim.net);
         sim.net.states_mut()[common.source as usize].informed = true;
         for &extra in &common.extra_sources {
             assert!((extra as usize) < n, "extra source index out of range");

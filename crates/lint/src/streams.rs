@@ -30,7 +30,8 @@ use crate::lexer::{TokKind, Token};
 use crate::{Finding, Rule};
 
 /// Labels `0..=9` are the engine's reserved streams (documented at the
-/// wiring site in `crates/core/src/sim.rs`): 0 topology first-draw,
+/// wiring site, `CommonConfig::install` in `crates/core/src/config.rs`):
+/// 0 topology first-draw,
 /// 1 engine id-space, 2 engine target-sampling, 3 algorithm coins,
 /// 4 churn schedule, 5 topology build, 6 traffic plan, 7 async
 /// activation clocks, 8 async message latency, 9 async delivery

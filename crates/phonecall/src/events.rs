@@ -20,8 +20,21 @@
 //!   and a pull is answered from the responder's state *at request
 //!   arrival*, not from a start-of-round snapshot;
 //! * loss verdicts, churn boundary moves, topology gating and traffic
-//!   piggybacking all fire at event timestamps, with the same charging
-//!   rules as the synchronous engine.
+//!   piggybacking all fire at event timestamps.
+//!
+//! # One engine core
+//!
+//! The two engines *share* their accounting: this module only schedules
+//! (activation clocks, latencies, the heap drain, loss verdicts from the
+//! delivery stream) and reaches every counter, trace event and
+//! churn/traffic call through the helpers on [`Network`] that
+//! [`Network::round`] uses too — the boundary step
+//! (`open_round`), `initiate` (decide, charge the initiation, resolve
+//! the target), the three charge helpers (`charge_push`,
+//! `charge_pull_request`, `charge_pull_reply`) and the close-out
+//! (`close_round`). They make exactly the draws the engines made inline,
+//! in the same order; each trace event precedes its `deliver` call; and
+//! the traffic ledger sees its calls in delivery order.
 //!
 //! The step ends when the queue drains (activation chains are finite:
 //! an activation spawns at most one request, a request at most one
@@ -48,25 +61,22 @@
 //! [`ASYNC_LATENCY_STREAM`]: crate::rng::ASYNC_LATENCY_STREAM
 //! [`ASYNC_DELIVERY_STREAM`]: crate::rng::ASYNC_DELIVERY_STREAM
 
-use std::any::Any;
 use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::fmt;
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::action::{Action, Delivery, Target};
+use crate::action::{Action, Delivery};
 use crate::id::NodeIdx;
 use crate::metrics::RoundStats;
 use crate::network::{Network, NodeCtx};
+use crate::normalize_name;
 use crate::rng::{
     derive_seed, rng_from_seed, ASYNC_CLOCK_STREAM, ASYNC_DELIVERY_STREAM, ASYNC_LATENCY_STREAM,
 };
-use crate::topology::DirectAddressing;
-use crate::trace::{Event, EventKind};
 use crate::wire::Wire;
 
 // ----------------------------------------------------------------------
@@ -254,7 +264,7 @@ impl Engine {
     /// separator-insensitive. `None` for unknown names.
     #[must_use]
     pub fn profile(name: &str) -> Option<AsyncConfig> {
-        match normalize(name).as_str() {
+        match normalize_name(name).as_str() {
             "fixed" => Some(AsyncConfig {
                 rate: 1.0,
                 latency: Latency::Fixed(0.5),
@@ -290,22 +300,13 @@ impl Engine {
                 specs.join(", ")
             )
         };
-        match (normalize(head).as_str(), profile) {
+        match (normalize_name(head).as_str(), profile) {
             ("sync", None) => Ok(Engine::Sync),
             ("async", None) => Ok(Engine::Async(AsyncConfig::default())),
             ("async", Some(p)) => Engine::profile(p).map(Engine::Async).ok_or_else(invalid),
             _ => Err(invalid()),
         }
     }
-}
-
-/// Case- and separator-insensitive key, matching the algorithm and
-/// topology registries.
-fn normalize(name: &str) -> String {
-    name.chars()
-        .filter(|c| *c != '-' && *c != '_')
-        .map(|c| c.to_ascii_lowercase())
-        .collect()
 }
 
 // ----------------------------------------------------------------------
@@ -364,7 +365,7 @@ pub(crate) enum MsgKind<M> {
     /// A push payload; `lost` messages are charged but not delivered.
     Push { msg: M, lost: bool },
     /// A pull request. Both loss legs are verdicts drawn at send time
-    /// (mirroring the synchronous engine's unconditional two-leg draw):
+    /// (like the synchronous engine's unconditional two-leg draw):
     /// a `lost` request never reaches the responder, a lost reply
     /// (`rep_lost`) is sent — and charged — but never arrives.
     PullReq { lost: bool, rep_lost: bool },
@@ -389,50 +390,6 @@ impl<M> PartialOrd for MsgEv<M> {
 impl<M> Ord for MsgEv<M> {
     fn cmp(&self, other: &Self) -> Ordering {
         self.key.cmp(&other.key)
-    }
-}
-
-/// Type-erased holder for the in-flight message heap (one per message
-/// type `M`, like the scratch cell): consecutive rounds with the same
-/// `M` reuse the same allocation, which grows to its steady-state
-/// high-water mark and then stays put. Unlike the scratch cell, `take`
-/// does **not** clear the heap — in-flight events persist across the
-/// take/put cycle (a phase switching message types drops the old
-/// heap, which is empty between rounds: the event loop drains it).
-#[derive(Default)]
-pub(crate) struct InflightCell(Option<Box<dyn Any>>);
-
-impl InflightCell {
-    // The `Box` around the heap is deliberate, not an accident the lint
-    // should flag: `take`/`put` shuttle the *same* box through the
-    // `dyn Any` slot every round, so no allocation happens per cycle —
-    // unboxing would force `put` to re-box (one allocation per round),
-    // breaking the steady-state allocation-freedom contract.
-    #[allow(clippy::box_collection)]
-    pub(crate) fn take<M: 'static>(&mut self) -> Box<BinaryHeap<Reverse<MsgEv<M>>>> {
-        match self
-            .0
-            .take()
-            .map(Box::<dyn Any>::downcast::<BinaryHeap<Reverse<MsgEv<M>>>>)
-        {
-            Some(Ok(heap)) => heap,
-            _ => Box::new(BinaryHeap::new()),
-        }
-    }
-
-    #[allow(clippy::box_collection)]
-    pub(crate) fn put<M: 'static>(&mut self, heap: Box<BinaryHeap<Reverse<MsgEv<M>>>>) {
-        self.0 = Some(heap);
-    }
-}
-
-impl fmt::Debug for InflightCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "InflightCell(warm)"
-        } else {
-            "InflightCell(empty)"
-        })
     }
 }
 
@@ -514,10 +471,10 @@ impl<S> Network<S> {
     /// asynchronous engine: schedules every node's activation at an
     /// exponential clock offset, then drains activations and in-flight
     /// message arrivals in `(time, seq, node)` order. Charging, tracing
-    /// and fan-in accounting mirror the synchronous phases exactly; the
-    /// differences are semantic — deliveries land mid-step, pulls are
-    /// answered from current state at request arrival, and every
-    /// ordering decision is a timestamp.
+    /// and fan-in accounting go through the synchronous engine's own
+    /// helpers; the differences are semantic — deliveries land mid-step,
+    /// pulls are answered from current state at request arrival, and
+    /// every ordering decision is a timestamp.
     pub(crate) fn round_async<M: Wire + 'static>(
         &mut self,
         mut decide: impl FnMut(NodeCtx<'_, S>, &mut SmallRng) -> Action<M>,
@@ -525,46 +482,14 @@ impl<S> Network<S> {
         mut deliver: impl FnMut(&mut S, Delivery<M>),
     ) -> RoundStats {
         let n = self.len();
-        let n32 = n as u32;
-        let mut stats = RoundStats {
-            round: self.round,
-            ..Default::default()
-        };
-
-        // Boundary events, exactly as the synchronous engine: the
-        // dynamic adversary and the workload move once per schedule
-        // step, before any activation of the step fires. Burst loss
-        // composes with the base knob for the step's sends.
-        let mut loss = self.loss;
-        if let Some(churn) = self.churn.as_mut() {
-            let ev = churn.advance(self.round, &mut self.alive);
-            self.alive_count = self.alive_count + ev.recovered as usize - ev.crashed as usize;
-            self.metrics.crashes += u64::from(ev.crashed);
-            self.metrics.recoveries += u64::from(ev.recovered);
-            if ev.bursting {
-                self.metrics.burst_rounds += 1;
-                loss = 1.0 - (1.0 - loss) * (1.0 - churn.extra_loss());
-            }
-        }
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_started += u64::from(tp.begin_round(self.round));
-        }
-
-        // Sparse fan-in reset (see the synchronous engine).
-        for wi in 0..self.touched.words().len() {
-            if self.touched.words()[wi] != 0 {
-                let start = wi * 64;
-                let end = (start + 64).min(n);
-                self.fan_in[start..end].fill(0);
-            }
-        }
-        self.touched.clear_all();
-
+        // The boundary moves once per schedule step, before any
+        // activation of the step fires.
+        let (mut stats, loss) = self.open_round();
         let mut axs = self
             .async_state
             .take()
             .expect("round_async dispatched without async state");
-        let mut msgs = self.inflight.take::<M>();
+        let mut msgs = self.inflight.take::<BinaryHeap<Reverse<MsgEv<M>>>>();
         // Pre-size the event pool: at any instant at most one in-flight
         // message exists per node (an activation's single send, or the
         // reply that replaces its request when the request pops), so
@@ -578,7 +503,7 @@ impl<S> Network<S> {
         // per node, dead or alive — dead nodes are skipped at fire time,
         // so the clock stream never depends on the churn history.
         let t0 = axs.virtual_time;
-        for i in 0..n32 {
+        for i in 0..n as u32 {
             let gap = axs.clock_gap();
             let key = axs.next_key(t0 + gap, i);
             axs.clocks.push(Reverse(key));
@@ -603,73 +528,23 @@ impl<S> Network<S> {
                     unreachable!()
                 };
                 axs.virtual_time = key.time;
-                let i = key.node as usize;
-                if !self.alive.get(i) {
+                let idx = NodeIdx(key.node);
+                if !self.alive.get(idx.as_usize()) {
                     continue;
                 }
-                let idx = NodeIdx(key.node);
-                let ctx = NodeCtx {
-                    idx,
-                    id: self.ids.id_of(idx),
-                    state: &self.states[i],
-                    round: self.round,
-                };
-                let action = decide(ctx, &mut self.rng);
-                let target = match &action {
-                    Action::Idle => continue,
-                    Action::Push { to, .. } => *to,
-                    Action::Pull { to } => *to,
-                };
-                stats.initiators += 1;
-                self.fan_in[i] += 1;
-                self.touched.set(i);
-                let dst = match target {
-                    Target::Random => match self.topo.as_mut() {
-                        None => {
-                            if n32 == 1 {
-                                continue; // nobody to talk to
-                            }
-                            Self::sample_other(&mut self.rng, n32, idx)
-                        }
-                        Some(view) => {
-                            match view
-                                .adj
-                                .sample_alive_neighbor(&mut view.rng, idx, &self.alive)
-                            {
-                                Some(d) => d,
-                                None => continue,
-                            }
-                        }
-                    },
-                    Target::Direct(id) => match self.ids.resolve(id) {
-                        Some(d) => {
-                            if let Some(view) = &self.topo {
-                                if view.mode == DirectAddressing::Restricted
-                                    && !view.adj.contains_edge(idx.0, d.0)
-                                {
-                                    continue;
-                                }
-                            }
-                            d
-                        }
-                        None => continue,
-                    },
+                let Some((action, dst)) = self.initiate(idx, &mut decide, &mut stats) else {
+                    continue;
                 };
                 let arrive = key.time + axs.latency();
-                match action {
+                let kind = match action {
                     Action::Push { msg, .. } => {
                         let lost = loss > 0.0 && axs.delivery_rng.gen_bool(loss);
-                        let k = axs.next_key(arrive, dst.0);
-                        msgs.push(Reverse(MsgEv {
-                            key: k,
-                            src: idx.0,
-                            kind: MsgKind::Push { msg, lost },
-                        }));
+                        MsgKind::Push { msg, lost }
                     }
                     Action::Pull { .. } => {
                         // Both legs sampled at send time, unconditionally
                         // when the knob is on — the delivery stream never
-                        // depends on the first verdict (mirrors the
+                        // depends on the first verdict (as the
                         // synchronous engine's phase 2).
                         let mut lost = false;
                         let mut rep_lost = false;
@@ -677,15 +552,16 @@ impl<S> Network<S> {
                             lost = axs.delivery_rng.gen_bool(loss);
                             rep_lost = axs.delivery_rng.gen_bool(loss);
                         }
-                        let k = axs.next_key(arrive, dst.0);
-                        msgs.push(Reverse(MsgEv {
-                            key: k,
-                            src: idx.0,
-                            kind: MsgKind::PullReq { lost, rep_lost },
-                        }));
+                        MsgKind::PullReq { lost, rep_lost }
                     }
                     Action::Idle => unreachable!(),
-                }
+                };
+                let key = axs.next_key(arrive, dst.0);
+                msgs.push(Reverse(MsgEv {
+                    key,
+                    src: idx.0,
+                    kind,
+                }));
                 continue;
             }
 
@@ -694,79 +570,19 @@ impl<S> Network<S> {
                 unreachable!()
             };
             axs.virtual_time = ev.key.time;
-            let t = ev.key.time;
             let src = NodeIdx(ev.src);
             let dst = NodeIdx(ev.key.node);
             let d = dst.as_usize();
             match ev.kind {
                 MsgKind::Push { msg, lost } => {
-                    let alive = self.alive.get(d);
-                    let delivered = alive && !lost;
-                    let mut bits = self.header_bits + msg.size_bits();
-                    if delivered {
-                        if let Some(tp) = self.traffic.as_mut() {
-                            let tr = tp.on_payload(src.0, dst.0);
-                            bits += u64::from(tr.transferred) * tp.rumor_bits();
-                            self.metrics.rumor_payloads += u64::from(tr.transferred);
-                            self.metrics.budget_drops += u64::from(tr.dropped);
-                        }
-                    }
-                    stats.messages += 1;
-                    stats.bits += bits;
-                    self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                    self.metrics.pushes += 1;
-                    self.metrics.payload_messages += 1;
-                    self.fan_in[d] += 1;
-                    self.touched.set(d);
-                    let kind = if delivered {
-                        EventKind::Push
-                    } else if alive {
-                        EventKind::DroppedLost
-                    } else {
-                        EventKind::DroppedDead
-                    };
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: src,
-                        to: dst,
-                        kind,
-                    });
-                    if delivered {
-                        deliver(
-                            &mut self.states[d],
-                            Delivery::Push {
-                                from: self.ids.id_of(src),
-                                msg,
-                            },
-                        );
+                    if self.charge_push(&mut stats, src, dst, &msg, lost) {
+                        let from = self.ids.id_of(src);
+                        deliver(&mut self.states[d], Delivery::Push { from, msg });
                     }
                 }
                 MsgKind::PullReq { lost, rep_lost } => {
-                    // The request: header-only, sender-paid whether or
-                    // not it arrives (same charging as the synchronous
-                    // phase 4). A lost request charges no responder-side
-                    // fan-in and produces no reply or notification.
-                    stats.messages += 1;
-                    stats.bits += self.header_bits;
-                    self.metrics.pull_requests += 1;
-                    if lost {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::DroppedLost,
-                        });
-                        continue;
-                    }
-                    self.fan_in[d] += 1;
-                    self.touched.set(d);
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: src,
-                        to: dst,
-                        kind: EventKind::PullRequest,
-                    });
-                    if !self.alive.get(d) {
+                    let arrived = self.charge_pull_request(&mut stats, src, dst, lost);
+                    if !arrived || !self.alive.get(d) {
                         continue;
                     }
                     // Asynchronous semantics: the response reads the
@@ -776,10 +592,10 @@ impl<S> Network<S> {
                     let resp = respond(&self.states[d]);
                     deliver(&mut self.states[d], Delivery::PulledBy(self.ids.id_of(src)));
                     if let Some(msg) = resp {
-                        let arrive = t + axs.latency();
-                        let k = axs.next_key(arrive, src.0);
+                        let arrive = ev.key.time + axs.latency();
+                        let key = axs.next_key(arrive, src.0);
                         msgs.push(Reverse(MsgEv {
-                            key: k,
+                            key,
                             src: dst.0,
                             kind: MsgKind::PullReply {
                                 msg,
@@ -789,73 +605,16 @@ impl<S> Network<S> {
                     }
                 }
                 MsgKind::PullReply { msg, lost } => {
-                    // The responder sent the reply, so it is charged in
-                    // full even when the return leg drops it.
-                    let delivered = !lost;
-                    let mut bits = self.header_bits + msg.size_bits();
-                    if delivered {
-                        if let Some(tp) = self.traffic.as_mut() {
-                            let tr = tp.on_payload(src.0, dst.0);
-                            bits += u64::from(tr.transferred) * tp.rumor_bits();
-                            self.metrics.rumor_payloads += u64::from(tr.transferred);
-                            self.metrics.budget_drops += u64::from(tr.dropped);
-                        }
-                    }
-                    stats.messages += 1;
-                    stats.bits += bits;
-                    self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                    self.metrics.pull_replies += 1;
-                    self.metrics.payload_messages += 1;
-                    if delivered {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::PullReply,
-                        });
-                        deliver(
-                            &mut self.states[d],
-                            Delivery::PullReply {
-                                from: self.ids.id_of(src),
-                                msg,
-                            },
-                        );
-                    } else {
-                        self.trace.record(Event {
-                            round: self.round,
-                            from: src,
-                            to: dst,
-                            kind: EventKind::DroppedLost,
-                        });
+                    if self.charge_pull_reply(&mut stats, src, dst, &msg, lost) {
+                        let from = self.ids.id_of(src);
+                        deliver(&mut self.states[d], Delivery::PullReply { from, msg });
                     }
                 }
             }
         }
         self.inflight.put(msgs);
         self.async_state = Some(axs);
-
-        // End-of-step workload and fan-in bookkeeping, as the
-        // synchronous tail.
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_completed += u64::from(tp.end_round(self.round, &self.alive));
-        }
-        let mut max_fan = 0u32;
-        for (wi, &word) in self.touched.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                max_fan = max_fan.max(self.fan_in[i]);
-            }
-        }
-        stats.max_fan_in = u64::from(max_fan);
-        self.metrics.rounds += 1;
-        self.metrics.messages += stats.messages;
-        self.metrics.bits += stats.bits;
-        self.metrics.max_fan_in = self.metrics.max_fan_in.max(stats.max_fan_in);
-        self.metrics.per_round.push(stats);
-        self.round += 1;
-        stats
+        self.close_round(stats)
     }
 }
 

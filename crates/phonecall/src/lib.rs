@@ -146,3 +146,15 @@ pub use topology::{normalize_adjacency, Adjacency, DirectAddressing, Topology};
 pub use trace::{Event, EventKind, Trace};
 pub use traffic::{RumorStatus, TrafficConfig, TrafficPlan};
 pub use wire::{header_bits, id_bits, Wire};
+
+/// The case- and separator-insensitive lookup key every name catalog
+/// matches on (algorithms, topologies, engines): ASCII-lowercased with
+/// `-` and `_` dropped, so `"push-pull"`, `"push_pull"` and `"PushPull"`
+/// all address the same entry.
+#[must_use]
+pub fn normalize_name(name: &str) -> String {
+    name.chars()
+        .filter(|c| *c != '-' && *c != '_')
+        .map(|c| c.to_ascii_lowercase())
+        .collect()
+}

@@ -17,6 +17,32 @@
 //! paper's address-obliviousness), and all state changes from incoming
 //! traffic happen strictly after every action and response of the round is
 //! fixed (synchrony).
+//!
+//! # The shared engine core
+//!
+//! The synchronous engine and the asynchronous one ([`crate::events`])
+//! differ only in scheduling: `round` batches contacts into
+//! struct-of-arrays columns and draws loss verdicts from the engine RNG,
+//! while `round_async` schedules clocks, drains an event heap and draws
+//! verdicts from its delivery stream. Everything they count is charged
+//! by one set of helpers at the bottom of this file:
+//!
+//! * `open_round` — churn move, traffic `begin_round`, sparse fan-in
+//!   reset and the step's effective loss;
+//! * `initiate` — `decide`, the initiation charge and `Random`/`Direct`
+//!   target resolution under the topology and `Restricted` rules;
+//! * `charge_push`, `charge_pull_request`, `charge_pull_reply` —
+//!   messages, bits, `max_message_bits`, traffic piggyback, fan-in and
+//!   the trace; each returns whether the message arrived;
+//! * `close_round` — traffic `end_round`, the fan-in maximum, the fold
+//!   into [`Metrics`] (with debug-build conservation checks) and the
+//!   round counter.
+//!
+//! The helpers make exactly the random draws the engines made inline, in
+//! the same order, on the same streams; each message's trace event is
+//! recorded before the caller runs `deliver`; and the traffic ledger
+//! sees `begin_round`, then one `on_payload` per delivered payload
+//! message in the engine's delivery order, then `end_round`.
 
 use std::any::Any;
 use std::fmt;
@@ -27,7 +53,7 @@ use rand::Rng;
 use crate::action::{Action, Delivery, Target};
 use crate::bitset::BitSet;
 use crate::churn::{AdversarySchedule, ChurnConfig};
-use crate::events::{AsyncState, Engine, InflightCell};
+use crate::events::{AsyncState, Engine};
 use crate::failure::FailurePlan;
 use crate::id::{IdSpace, NodeId, NodeIdx};
 use crate::metrics::{Metrics, RoundStats};
@@ -88,7 +114,7 @@ pub struct Network<S> {
     /// round zero `fan_in` 64 nodes at a time and the fan-in maximum
     /// skip untouched regions instead of scanning all `n` counters.
     pub(crate) touched: BitSet,
-    scratch: ScratchCell,
+    scratch: BufferCell,
     /// The asynchronous engine's state when [`Engine::Async`] is
     /// installed (see [`crate::events`]); `None` — the default — keeps
     /// [`Self::round`] on the synchronous path, bit-identical to builds
@@ -97,7 +123,7 @@ pub struct Network<S> {
     /// In-flight message heap of the asynchronous engine (type-erased
     /// per message type, like `scratch`). Unused — and empty — under
     /// [`Engine::Sync`].
-    pub(crate) inflight: InflightCell,
+    pub(crate) inflight: BufferCell,
 }
 
 /// A materialized topology installed on a network: the CSR adjacency
@@ -147,8 +173,8 @@ struct Scratch<M> {
     responses: Vec<Option<M>>,
 }
 
-impl<M> Scratch<M> {
-    fn new() -> Self {
+impl<M> Default for Scratch<M> {
+    fn default() -> Self {
         Scratch {
             push_src: Vec::new(),
             push_dst: Vec::new(),
@@ -161,7 +187,9 @@ impl<M> Scratch<M> {
             responses: Vec::new(),
         }
     }
+}
 
+impl<M> Scratch<M> {
     fn clear(&mut self) {
         self.push_src.clear();
         self.push_dst.clear();
@@ -203,41 +231,45 @@ impl<M> Scratch<M> {
     }
 }
 
-/// Type-erased holder for the [`Scratch`] buffers.
+/// Type-erased holder for one per-message-type buffer: the synchronous
+/// engine's [`Scratch`] columns or the asynchronous engine's in-flight
+/// heap.
 ///
 /// `round` is generic over the message type `M` while the network is not,
-/// so the buffers are stashed as `dyn Any` between rounds: consecutive
+/// so the buffer is stashed as `dyn Any` between rounds: consecutive
 /// rounds with the same `M` (the hot path — every algorithm loop) reuse
-/// the exact same allocations, and a phase switching to a different
-/// message type transparently starts a fresh set.
+/// the exact same allocation, and a phase switching to a different
+/// message type transparently starts a fresh one. The cell hands the
+/// buffer back as it was left: the scratch caller clears its columns
+/// itself, while in-flight events persist across the take/put cycle (a
+/// type switch drops the old heap, which the event loop has drained).
 #[derive(Default)]
-struct ScratchCell(Option<Box<dyn Any>>);
+pub(crate) struct BufferCell(Option<Box<dyn Any>>);
 
-impl ScratchCell {
-    /// Takes the buffers out for the duration of a round (re-typing or
-    /// creating them as needed), leaving the cell empty.
-    fn take<M: 'static>(&mut self) -> Box<Scratch<M>> {
-        match self.0.take().map(Box::<dyn Any>::downcast::<Scratch<M>>) {
-            Some(Ok(mut scratch)) => {
-                scratch.clear();
-                scratch
-            }
-            _ => Box::new(Scratch::new()),
+impl BufferCell {
+    /// Takes the buffer out for the duration of a round (re-typing or
+    /// creating it as needed), leaving the cell empty. The same `Box`
+    /// shuttles through the slot every round, so a warm cycle allocates
+    /// nothing.
+    pub(crate) fn take<T: Default + 'static>(&mut self) -> Box<T> {
+        match self.0.take().map(Box::<dyn Any>::downcast::<T>) {
+            Some(Ok(buffer)) => buffer,
+            _ => Box::default(),
         }
     }
 
-    /// Returns the buffers after the round.
-    fn put<M: 'static>(&mut self, scratch: Box<Scratch<M>>) {
-        self.0 = Some(scratch);
+    /// Returns the buffer after the round.
+    pub(crate) fn put<T: 'static>(&mut self, buffer: Box<T>) {
+        self.0 = Some(buffer);
     }
 }
 
-impl fmt::Debug for ScratchCell {
+impl fmt::Debug for BufferCell {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(if self.0.is_some() {
-            "ScratchCell(warm)"
+            "BufferCell(warm)"
         } else {
-            "ScratchCell(empty)"
+            "BufferCell(empty)"
         })
     }
 }
@@ -299,9 +331,9 @@ impl<S> Network<S> {
             traffic: None,
             fan_in: vec![0; n],
             touched: BitSet::new(n),
-            scratch: ScratchCell::default(),
+            scratch: BufferCell::default(),
             async_state: None,
-            inflight: InflightCell::default(),
+            inflight: BufferCell::default(),
         }
     }
 
@@ -333,7 +365,7 @@ impl<S> Network<S> {
                 Some(Box::new(AsyncState::new(cfg, self.len(), seed)))
             }
         };
-        self.inflight = InflightCell::default();
+        self.inflight = BufferCell::default();
     }
 
     /// Whether the asynchronous engine is installed.
@@ -635,51 +667,10 @@ impl<S> Network<S> {
         if self.async_state.is_some() {
             return self.round_async(decide, respond, deliver);
         }
-        let n = self.len();
-        let n32 = n as u32;
-        let mut stats = RoundStats {
-            round: self.round,
-            ..Default::default()
-        };
-
-        // Phase 0: the dynamic adversary (if any) moves at the round
-        // boundary — crashes, recoveries and the burst-loss chain — from
-        // its own random stream, so churn-off runs draw the exact same
-        // engine RNG sequence as before churn existed. Burst loss
-        // composes with the base loss knob for this round only.
-        let mut loss = self.loss;
-        if let Some(churn) = self.churn.as_mut() {
-            let ev = churn.advance(self.round, &mut self.alive);
-            self.alive_count = self.alive_count + ev.recovered as usize - ev.crashed as usize;
-            self.metrics.crashes += u64::from(ev.crashed);
-            self.metrics.recoveries += u64::from(ev.recovered);
-            if ev.bursting {
-                self.metrics.burst_rounds += 1;
-                loss = 1.0 - (1.0 - loss) * (1.0 - churn.extra_loss());
-            }
-        }
-
-        // Phase 0b: the workload (if any) moves at the round boundary
-        // too — the bandwidth ledger resets and due rumors arrive at
-        // their origins (whether or not those are alive right now:
-        // state-intact semantics, like churn recoveries).
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_started += u64::from(tp.begin_round(self.round));
-        }
-
-        // Reset the fan-in counters sparsely: only nodes whose `touched`
-        // bit was set last round can hold a nonzero counter, so zero 64
-        // counters per set word instead of streaming all n.
-        for wi in 0..self.touched.words().len() {
-            if self.touched.words()[wi] != 0 {
-                let start = wi * 64;
-                let end = (start + 64).min(n);
-                self.fan_in[start..end].fill(0);
-            }
-        }
-        self.touched.clear_all();
-        let mut scratch = self.scratch.take::<M>();
-        scratch.presize(n);
+        let (mut stats, loss) = self.open_round();
+        let mut scratch = self.scratch.take::<Scratch<M>>();
+        scratch.clear();
+        scratch.presize(self.len());
 
         // Phase 1: collect actions and batch-resolve their targets into
         // the SoA columns, word-streaming the alive mask (64 dead nodes
@@ -687,78 +678,19 @@ impl<S> Network<S> {
         for wi in 0..self.alive.words().len() {
             let mut w = self.alive.words()[wi];
             while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
+                let idx = NodeIdx((wi * 64) as u32 + w.trailing_zeros());
                 w &= w - 1;
-                let idx = NodeIdx(i as u32);
-                let ctx = NodeCtx {
-                    idx,
-                    id: self.ids.id_of(idx),
-                    state: &self.states[i],
-                    round: self.round,
-                };
-                let action = decide(ctx, &mut self.rng);
-                let target = match &action {
-                    Action::Idle => continue,
-                    Action::Push { to, .. } => *to,
-                    Action::Pull { to } => *to,
-                };
-                stats.initiators += 1;
-                self.fan_in[i] += 1;
-                self.touched.set(i);
-                let dst = match target {
-                    Target::Random => match self.topo.as_mut() {
-                        None => {
-                            if n32 == 1 {
-                                continue; // nobody to talk to
-                            }
-                            Self::sample_other(&mut self.rng, n32, idx)
-                        }
-                        // On a contact graph: a uniformly random alive
-                        // neighbor, from the topology's own stream. With
-                        // every neighbor down the connection attempt fails
-                        // and the node sits the round out (still charged as
-                        // an initiation, like a call to an unknown address).
-                        Some(view) => {
-                            match view
-                                .adj
-                                .sample_alive_neighbor(&mut view.rng, idx, &self.alive)
-                            {
-                                Some(d) => d,
-                                None => continue,
-                            }
-                        }
-                    },
-                    Target::Direct(id) => match self.ids.resolve(id) {
-                        Some(d) => {
-                            // Restricted direct addressing: a learned ID is
-                            // only usable over an existing link; calls to
-                            // non-neighbors are lost in the void (charged,
-                            // never delivered).
-                            if let Some(view) = &self.topo {
-                                if view.mode == DirectAddressing::Restricted
-                                    && !view.adj.contains_edge(idx.0, d.0)
-                                {
-                                    continue;
-                                }
-                            }
-                            d
-                        }
-                        // Unknown address: the message is lost in the void but
-                        // the attempt still counts as an initiated communication.
-                        None => continue,
-                    },
-                };
-                match action {
-                    Action::Push { msg, .. } => {
+                match self.initiate(idx, &mut decide, &mut stats) {
+                    Some((Action::Push { msg, .. }, dst)) => {
                         scratch.push_src.push(idx.0);
                         scratch.push_dst.push(dst.0);
                         scratch.push_msg.push(msg);
                     }
-                    Action::Pull { .. } => {
+                    Some((Action::Pull { .. }, dst)) => {
                         scratch.pull_src.push(idx.0);
                         scratch.pull_dst.push(dst.0);
                     }
-                    Action::Idle => unreachable!(),
+                    _ => {}
                 }
             }
         }
@@ -809,123 +741,31 @@ impl<S> Network<S> {
         for (k, msg) in sc.push_msg.drain(..).enumerate() {
             let src = NodeIdx(sc.push_src[k]);
             let dst = NodeIdx(sc.push_dst[k]);
-            let d = dst.as_usize();
-            let alive = self.alive.get(d);
             let lost = !sc.push_lost.is_empty() && sc.push_lost[k];
-            let delivered = alive && !lost;
-            // The workload piggybacks on delivered payload messages:
-            // whatever transfers rides this push and widens it by
-            // `rumor_bits` per rumor carried.
-            let mut bits = self.header_bits + msg.size_bits();
-            if delivered {
-                if let Some(tp) = self.traffic.as_mut() {
-                    let t = tp.on_payload(src.0, dst.0);
-                    bits += u64::from(t.transferred) * tp.rumor_bits();
-                    self.metrics.rumor_payloads += u64::from(t.transferred);
-                    self.metrics.budget_drops += u64::from(t.dropped);
-                }
-            }
-            stats.messages += 1;
-            stats.bits += bits;
-            self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-            self.metrics.pushes += 1;
-            self.metrics.payload_messages += 1;
-            self.fan_in[d] += 1;
-            self.touched.set(d);
-            let kind = if delivered {
-                EventKind::Push
-            } else if alive {
-                EventKind::DroppedLost
-            } else {
-                EventKind::DroppedDead
-            };
-            self.trace.record(Event {
-                round: self.round,
-                from: src,
-                to: dst,
-                kind,
-            });
-            if delivered {
+            if self.charge_push(&mut stats, src, dst, &msg, lost) {
+                let from = self.ids.id_of(src);
                 deliver(
-                    &mut self.states[d],
-                    Delivery::Push {
-                        from: self.ids.id_of(src),
-                        msg,
-                    },
+                    &mut self.states[dst.as_usize()],
+                    Delivery::Push { from, msg },
                 );
             }
         }
 
-        // Phase 4: deliver pull replies, then pulled-by notifications.
+        // Phase 4: deliver pull replies, then pulled-by notifications. A
+        // reply exists only if the request arrived (phase 2).
         for (k, reply) in sc.responses.drain(..).enumerate() {
             let src = NodeIdx(sc.pull_src[k]);
             let dst = NodeIdx(sc.pull_dst[k]);
             let req_lost = !sc.pull_req_lost.is_empty() && sc.pull_req_lost[k];
             let rep_lost = !sc.pull_rep_lost.is_empty() && sc.pull_rep_lost[k];
-            // The request itself: header-only, sender-paid whether or
-            // not it arrives — but a request lost in transit never
-            // reaches the responder, so it charges no responder-side
-            // fan-in and is traced as a drop, not a pull.
-            stats.messages += 1;
-            stats.bits += self.header_bits;
-            self.metrics.pull_requests += 1;
-            if req_lost {
-                self.trace.record(Event {
-                    round: self.round,
-                    from: src,
-                    to: dst,
-                    kind: EventKind::DroppedLost,
-                });
-            } else {
-                self.fan_in[dst.as_usize()] += 1;
-                self.touched.set(dst.as_usize());
-                self.trace.record(Event {
-                    round: self.round,
-                    from: src,
-                    to: dst,
-                    kind: EventKind::PullRequest,
-                });
-            }
+            self.charge_pull_request(&mut stats, src, dst, req_lost);
             if let Some(msg) = reply {
-                // A reply exists only if the request arrived (phase 2);
-                // the responder sent it, so it is charged in full even
-                // when the return leg drops it.
-                let delivered = !rep_lost;
-                let mut bits = self.header_bits + msg.size_bits();
-                if delivered {
-                    if let Some(tp) = self.traffic.as_mut() {
-                        let t = tp.on_payload(dst.0, src.0);
-                        bits += u64::from(t.transferred) * tp.rumor_bits();
-                        self.metrics.rumor_payloads += u64::from(t.transferred);
-                        self.metrics.budget_drops += u64::from(t.dropped);
-                    }
-                }
-                stats.messages += 1;
-                stats.bits += bits;
-                self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
-                self.metrics.pull_replies += 1;
-                self.metrics.payload_messages += 1;
-                if delivered {
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: dst,
-                        to: src,
-                        kind: EventKind::PullReply,
-                    });
+                if self.charge_pull_reply(&mut stats, dst, src, &msg, rep_lost) {
+                    let from = self.ids.id_of(dst);
                     deliver(
                         &mut self.states[src.as_usize()],
-                        Delivery::PullReply {
-                            from: self.ids.id_of(dst),
-                            msg,
-                        },
+                        Delivery::PullReply { from, msg },
                     );
-                } else {
-                    self.trace.record(Event {
-                        round: self.round,
-                        from: dst,
-                        to: src,
-                        kind: EventKind::DroppedLost,
-                    });
                 }
             }
         }
@@ -941,34 +781,7 @@ impl<S> Network<S> {
             }
         }
         self.scratch.put(scratch);
-
-        // End-of-round workload step: a rumor completes once every
-        // alive node knows it (checked after all deliveries, so a rumor
-        // can arrive, spread and complete within one round on a tiny
-        // network).
-        if let Some(tp) = self.traffic.as_mut() {
-            self.metrics.rumors_completed += u64::from(tp.end_round(self.round, &self.alive));
-        }
-
-        // The fan-in maximum only needs the touched nodes — untouched
-        // counters are zero by the sparse-reset invariant.
-        let mut max_fan = 0u32;
-        for (wi, &word) in self.touched.words().iter().enumerate() {
-            let mut w = word;
-            while w != 0 {
-                let i = wi * 64 + w.trailing_zeros() as usize;
-                w &= w - 1;
-                max_fan = max_fan.max(self.fan_in[i]);
-            }
-        }
-        stats.max_fan_in = u64::from(max_fan);
-        self.metrics.rounds += 1;
-        self.metrics.messages += stats.messages;
-        self.metrics.bits += stats.bits;
-        self.metrics.max_fan_in = self.metrics.max_fan_in.max(stats.max_fan_in);
-        self.metrics.per_round.push(stats);
-        self.round += 1;
-        stats
+        self.close_round(stats)
     }
 
     /// Pre-reserves capacity for `rounds` additional entries of the
@@ -985,6 +798,290 @@ impl<S> Network<S> {
     #[must_use]
     pub fn last_fan_in(&self) -> &[u32] {
         &self.fan_in
+    }
+}
+
+// ----------------------------------------------------------------------
+// The shared engine core
+// ----------------------------------------------------------------------
+//
+// The per-contact helpers are `#[inline(always)]`: with two engines
+// calling them, a plain `#[inline]` left `charge_push` and
+// `charge_pull_request` out of line in the perfbench binary, and its
+// `clique_2e20` workload (n = 2^20, sync engine) ran 10–15 % longer on
+// a 2-vCPU VM. The once-per-round boundary and close-out need no
+// forcing.
+
+impl<S> Network<S> {
+    /// The round boundary, shared by both engines. The dynamic adversary
+    /// (if any) moves first — crashes, recoveries and the burst-loss
+    /// chain, from its own random stream, so churn-off runs draw the
+    /// exact same engine RNG sequence as before churn existed. Then the
+    /// workload (if any) resets its bandwidth ledger and lands due
+    /// rumors at their origins (alive or not: state-intact semantics,
+    /// like churn recoveries). Last, the fan-in counters reset sparsely:
+    /// only nodes whose `touched` bit was set last round can hold a
+    /// nonzero counter, so 64 counters are zeroed per set word instead
+    /// of streaming all `n`.
+    ///
+    /// Returns the round's fresh stats and its effective loss: burst
+    /// loss composes with the base knob for this round only.
+    #[inline]
+    pub(crate) fn open_round(&mut self) -> (RoundStats, f64) {
+        let mut loss = self.loss;
+        if let Some(churn) = self.churn.as_mut() {
+            let ev = churn.advance(self.round, &mut self.alive);
+            self.alive_count = self.alive_count + ev.recovered as usize - ev.crashed as usize;
+            self.metrics.crashes += u64::from(ev.crashed);
+            self.metrics.recoveries += u64::from(ev.recovered);
+            if ev.bursting {
+                self.metrics.burst_rounds += 1;
+                loss = 1.0 - (1.0 - loss) * (1.0 - churn.extra_loss());
+            }
+        }
+        if let Some(tp) = self.traffic.as_mut() {
+            self.metrics.rumors_started += u64::from(tp.begin_round(self.round));
+        }
+        let n = self.len();
+        for wi in 0..self.touched.words().len() {
+            if self.touched.words()[wi] != 0 {
+                let start = wi * 64;
+                self.fan_in[start..(start + 64).min(n)].fill(0);
+            }
+        }
+        self.touched.clear_all();
+        let stats = RoundStats {
+            round: self.round,
+            ..Default::default()
+        };
+        (stats, loss)
+    }
+
+    /// An alive node's turn, shared by both engines: calls `decide` on
+    /// the node's [`NodeCtx`], charges the initiation (initiator count
+    /// and fan-in) and resolves the target. Returns the action with its
+    /// destination, or `None` when the node idles or its call goes
+    /// nowhere — still charged as an initiation:
+    ///
+    /// * a `Random` target on the complete graph is a uniformly random
+    ///   other node from the engine RNG (nobody, when `n == 1`); on a
+    ///   contact graph it is a uniformly random *alive neighbor* from
+    ///   the topology's own stream, and with every neighbor down the
+    ///   connection attempt fails;
+    /// * a `Direct` target must resolve to a node (an unknown address is
+    ///   lost in the void) and, under [`DirectAddressing::Restricted`],
+    ///   be a neighbor: a learned ID is only usable over an existing
+    ///   link.
+    #[inline(always)]
+    pub(crate) fn initiate<M>(
+        &mut self,
+        idx: NodeIdx,
+        decide: &mut impl FnMut(NodeCtx<'_, S>, &mut SmallRng) -> Action<M>,
+        stats: &mut RoundStats,
+    ) -> Option<(Action<M>, NodeIdx)> {
+        let i = idx.as_usize();
+        let ctx = NodeCtx {
+            idx,
+            id: self.ids.id_of(idx),
+            state: &self.states[i],
+            round: self.round,
+        };
+        let action = decide(ctx, &mut self.rng);
+        let target = match &action {
+            Action::Idle => return None,
+            Action::Push { to, .. } => *to,
+            Action::Pull { to } => *to,
+        };
+        stats.initiators += 1;
+        self.fan_in[i] += 1;
+        self.touched.set(i);
+        let dst = match target {
+            Target::Random => match self.topo.as_mut() {
+                None => {
+                    let n = self.states.len() as u32;
+                    if n == 1 {
+                        return None;
+                    }
+                    Self::sample_other(&mut self.rng, n, idx)
+                }
+                Some(view) => view
+                    .adj
+                    .sample_alive_neighbor(&mut view.rng, idx, &self.alive)?,
+            },
+            Target::Direct(id) => {
+                let d = self.ids.resolve(id)?;
+                if let Some(view) = &self.topo {
+                    if view.mode == DirectAddressing::Restricted
+                        && !view.adj.contains_edge(idx.0, d.0)
+                    {
+                        return None;
+                    }
+                }
+                d
+            }
+        };
+        Some((action, dst))
+    }
+
+    /// Charges a push from `src` reaching `dst`, which receives it unless
+    /// it is dead or the link `lost` it. The sender pays either way; the
+    /// recipient's fan-in counts the arrival. Traced as `Push`,
+    /// `DroppedLost` or `DroppedDead`. Returns whether to deliver.
+    #[inline(always)]
+    pub(crate) fn charge_push(
+        &mut self,
+        stats: &mut RoundStats,
+        src: NodeIdx,
+        dst: NodeIdx,
+        msg: &impl Wire,
+        lost: bool,
+    ) -> bool {
+        let d = dst.as_usize();
+        let alive = self.alive.get(d);
+        let delivered = alive && !lost;
+        self.charge_payload(stats, src, dst, msg, delivered);
+        self.metrics.pushes += 1;
+        self.fan_in[d] += 1;
+        self.touched.set(d);
+        let kind = if delivered {
+            EventKind::Push
+        } else if alive {
+            EventKind::DroppedLost
+        } else {
+            EventKind::DroppedDead
+        };
+        self.record(src, dst, kind);
+        delivered
+    }
+
+    /// Charges a pull request from `src` to `dst`: header-only and
+    /// sender-paid whether or not it arrives. A request `lost` in
+    /// transit never reaches the responder, so it charges no
+    /// responder-side fan-in and is traced as a drop, not a pull.
+    /// Returns whether it arrived.
+    #[inline(always)]
+    pub(crate) fn charge_pull_request(
+        &mut self,
+        stats: &mut RoundStats,
+        src: NodeIdx,
+        dst: NodeIdx,
+        lost: bool,
+    ) -> bool {
+        stats.messages += 1;
+        stats.bits += self.header_bits;
+        self.metrics.pull_requests += 1;
+        if lost {
+            self.record(src, dst, EventKind::DroppedLost);
+        } else {
+            self.fan_in[dst.as_usize()] += 1;
+            self.touched.set(dst.as_usize());
+            self.record(src, dst, EventKind::PullRequest);
+        }
+        !lost
+    }
+
+    /// Charges the reply `responder` sent back to `puller`: in full,
+    /// even when the return leg `lost` it. Traced as `PullReply` or
+    /// `DroppedLost`. Returns whether to deliver.
+    #[inline(always)]
+    pub(crate) fn charge_pull_reply(
+        &mut self,
+        stats: &mut RoundStats,
+        responder: NodeIdx,
+        puller: NodeIdx,
+        msg: &impl Wire,
+        lost: bool,
+    ) -> bool {
+        self.charge_payload(stats, responder, puller, msg, !lost);
+        self.metrics.pull_replies += 1;
+        let kind = if lost {
+            EventKind::DroppedLost
+        } else {
+            EventKind::PullReply
+        };
+        self.record(responder, puller, kind);
+        !lost
+    }
+
+    /// The charge every payload message pays, pushes and replies alike:
+    /// header plus payload bits. The workload piggybacks on *delivered*
+    /// payload messages only: whatever transfers rides this message and
+    /// widens it by `rumor_bits` per rumor carried.
+    #[inline(always)]
+    fn charge_payload(
+        &mut self,
+        stats: &mut RoundStats,
+        from: NodeIdx,
+        to: NodeIdx,
+        msg: &impl Wire,
+        delivered: bool,
+    ) {
+        let mut bits = self.header_bits + msg.size_bits();
+        if delivered {
+            if let Some(tp) = self.traffic.as_mut() {
+                let t = tp.on_payload(from.0, to.0);
+                bits += u64::from(t.transferred) * tp.rumor_bits();
+                self.metrics.rumor_payloads += u64::from(t.transferred);
+                self.metrics.budget_drops += u64::from(t.dropped);
+            }
+        }
+        stats.messages += 1;
+        stats.bits += bits;
+        self.metrics.max_message_bits = self.metrics.max_message_bits.max(bits);
+        self.metrics.payload_messages += 1;
+    }
+
+    #[inline(always)]
+    fn record(&mut self, from: NodeIdx, to: NodeIdx, kind: EventKind) {
+        let round = self.round;
+        self.trace.record(Event {
+            round,
+            from,
+            to,
+            kind,
+        });
+    }
+
+    /// The round's close-out, shared by both engines. A workload rumor
+    /// completes once every alive node knows it (checked after all
+    /// deliveries, so a rumor can arrive, spread and complete within one
+    /// round on a tiny network). The fan-in maximum only visits the
+    /// touched nodes — untouched counters are zero by the sparse-reset
+    /// invariant. The round's stats then fold into [`Metrics`], whose
+    /// message counts must balance.
+    #[inline]
+    pub(crate) fn close_round(&mut self, mut stats: RoundStats) -> RoundStats {
+        if let Some(tp) = self.traffic.as_mut() {
+            self.metrics.rumors_completed += u64::from(tp.end_round(self.round, &self.alive));
+        }
+        let mut max_fan = 0u32;
+        for (wi, &word) in self.touched.words().iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                let i = wi * 64 + w.trailing_zeros() as usize;
+                w &= w - 1;
+                max_fan = max_fan.max(self.fan_in[i]);
+            }
+        }
+        stats.max_fan_in = u64::from(max_fan);
+        let m = &mut self.metrics;
+        m.rounds += 1;
+        m.messages += stats.messages;
+        m.bits += stats.bits;
+        m.max_fan_in = m.max_fan_in.max(stats.max_fan_in);
+        debug_assert_eq!(
+            m.messages,
+            m.pushes + m.pull_requests + m.pull_replies,
+            "every message is a push, a pull request or a pull reply"
+        );
+        debug_assert_eq!(
+            m.payload_messages,
+            m.pushes + m.pull_replies,
+            "every payload message is a push or a pull reply"
+        );
+        m.per_round.push(stats);
+        self.round += 1;
+        stats
     }
 }
 

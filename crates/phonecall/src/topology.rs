@@ -437,11 +437,7 @@ impl Topology {
             topo.validate()?;
             return Ok(topo);
         }
-        let key: String = name
-            .chars()
-            .filter(|c| *c != '-' && *c != '_')
-            .map(|c| c.to_ascii_lowercase())
-            .collect();
+        let key = crate::normalize_name(name);
         let knobs: Vec<&str> = params
             .unwrap_or("")
             .split(',')

@@ -1,7 +1,11 @@
 //! Property-based tests for the phone-call engine itself.
 
-use phonecall::{Action, ChurnConfig, Delivery, FailurePlan, Network, Target, Wire};
+use phonecall::{
+    Action, AsyncConfig, ChurnConfig, Delivery, DirectAddressing, Engine, EventKind, FailurePlan,
+    Latency, Network, NodeId, RoundStats, Target, Topology, TrafficConfig, Wire,
+};
 use proptest::prelude::*;
+use rand::Rng;
 
 #[derive(Clone, Debug)]
 struct Blob(u64);
@@ -18,8 +22,214 @@ struct St {
     replies: u32,
 }
 
+/// Node state for the mixed-traffic tests: counts every delivery kind
+/// and folds the sender IDs in arrival order, so a reordered delivery
+/// changes the final state.
+#[derive(Default, Clone, PartialEq, Debug)]
+struct Tally {
+    pushes: u32,
+    replies: u32,
+    pulled_by: u32,
+    mix: u64,
+}
+
+impl Tally {
+    fn fold(&mut self, from: NodeId) {
+        self.mix = self.mix.rotate_left(5) ^ from.raw();
+    }
+}
+
+/// The exponential-latency event engine.
+fn async_engine() -> Engine {
+    Engine::Async(AsyncConfig {
+        rate: 1.0,
+        latency: Latency::Exponential(0.5),
+    })
+}
+
+/// A traced network under every environment knob at once: message
+/// loss, an active adversary (crash batches, recoveries, burst loss), a
+/// multi-rumor workload with a tight bandwidth budget and a
+/// `random_regular:8` contact graph under `Restricted` addressing.
+fn hostile_network(n: usize, seed: u64, loss: f64, engine: Engine) -> Network<Tally> {
+    let mut net = Network::new(n, seed);
+    net.set_message_loss(loss);
+    net.set_churn(
+        ChurnConfig {
+            crash_rate: 0.5,
+            batch_size: 2,
+            recovery_rate: 0.3,
+            burst_enter: 0.2,
+            burst_exit: 0.5,
+            burst_loss: 0.4,
+            ..ChurnConfig::default()
+        },
+        seed ^ 4,
+    );
+    net.set_topology(
+        Topology::RandomRegular(8),
+        DirectAddressing::Restricted,
+        seed ^ 5,
+    );
+    net.set_traffic(
+        TrafficConfig {
+            rumors: 4,
+            arrival_rate: 0.5,
+            bandwidth: 1,
+            ..TrafficConfig::default()
+        },
+        64,
+        seed ^ 6,
+    );
+    net.set_engine(engine, seed ^ 7);
+    net
+}
+
+/// Per node, the IDs it calls directly: its ring successor (usually a
+/// non-edge under `Restricted`, so lost in the void), its first graph
+/// neighbor (always an edge, so dead ones trace as `DroppedDead`) and an
+/// ID that resolves to nobody.
+fn address_book(net: &Network<Tally>) -> Vec<[NodeId; 3]> {
+    let n = net.len() as u32;
+    let adj = net
+        .topology_adjacency()
+        .expect("a contact graph is installed");
+    (0..n)
+        .map(|i| {
+            let id = |j: u32| net.id_of(phonecall::NodeIdx(j));
+            [
+                id((i + 1) % n),
+                id(adj.neighbors(i)[0]),
+                NodeId::from_raw(!id(i).raw()),
+            ]
+        })
+        .collect()
+}
+
+/// One round of a push / pull / idle mix drawn from the decide RNG,
+/// over random targets and the address book; responders answer from
+/// their current state or stay silent.
+fn mixed_round(net: &mut Network<Tally>, book: &[[NodeId; 3]]) -> RoundStats {
+    net.round(
+        |ctx, rng| {
+            let [succ, nbr, unknown] = book[ctx.idx.as_usize()].map(Target::Direct);
+            let msg = Blob(4 + u64::from(ctx.state.pushes % 8));
+            match rng.gen_range(0..7u32) {
+                0 => Action::Idle,
+                1 => Action::Push {
+                    to: Target::Random,
+                    msg,
+                },
+                2 => Action::Pull { to: Target::Random },
+                3 => Action::Push { to: succ, msg },
+                4 => Action::Pull { to: succ },
+                5 => Action::Push { to: nbr, msg },
+                _ => Action::Push { to: unknown, msg },
+            }
+        },
+        |s| (s.pushes % 3 != 0).then(|| Blob(8 + u64::from(s.replies))),
+        |s, d| match d {
+            Delivery::Push { from, .. } => {
+                s.pushes += 1;
+                s.fold(from);
+            }
+            Delivery::PullReply { from, .. } => {
+                s.replies += 1;
+                s.fold(from);
+            }
+            Delivery::PulledBy(from) => {
+                s.pulled_by += 1;
+                s.fold(from);
+            }
+        },
+    )
+}
+
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a over a hostile 16-round run: every trace event in order, the
+/// full `Metrics` (per-round log included) and every final node state.
+fn hostile_digest(engine: Engine) -> u64 {
+    let mut net = hostile_network(96, 0x5EED, 0.1, engine);
+    net.enable_trace(1 << 16);
+    let book = address_book(&net);
+    for _ in 0..16 {
+        mixed_round(&mut net, &book);
+    }
+    assert_eq!(net.trace().dropped(), 0, "the digest must see every event");
+    for kind in [
+        EventKind::Push,
+        EventKind::PullRequest,
+        EventKind::PullReply,
+        EventKind::DroppedLost,
+        EventKind::DroppedDead,
+    ] {
+        assert!(
+            net.trace().events().iter().any(|e| e.kind == kind),
+            "the run never traced {kind:?}"
+        );
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for e in net.trace().events() {
+        h = fnv1a(h, format!("{e:?}").as_bytes());
+    }
+    h = fnv1a(h, format!("{:?}", net.metrics()).as_bytes());
+    for s in net.states() {
+        h = fnv1a(h, format!("{s:?}").as_bytes());
+    }
+    h
+}
+
+/// Pins the exact charge, trace and delivery order of both engines
+/// under loss, churn, traffic and `Restricted` addressing. The report
+/// goldens pin totals only; this digest also moves if a trace event,
+/// a delivery or a traffic-ledger call changes order, or if the async
+/// `rumor_payloads` / `budget_drops` drift.
+#[test]
+fn hostile_engine_trace_digest_is_pinned() {
+    assert_eq!(hostile_digest(Engine::Sync), SYNC_DIGEST);
+    assert_eq!(hostile_digest(async_engine()), ASYNC_DIGEST);
+}
+
+/// Printed by the engine before its charging code was shared.
+const SYNC_DIGEST: u64 = 7_212_064_906_652_109_372;
+const ASYNC_DIGEST: u64 = 16_686_163_250_856_975_504;
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// Conservation on both engines under every environment knob at
+    /// once: after every round, `messages == pushes + pull_requests +
+    /// pull_replies`, `payload_messages == pushes + pull_replies`, and
+    /// every message is traced exactly once (as Push, PullRequest,
+    /// PullReply, DroppedLost or DroppedDead) — recorded or counted as
+    /// dropped by the bounded trace.
+    #[test]
+    fn conservation_holds_on_both_engines(
+        n in 16usize..160,
+        seed in 0u64..10_000,
+        loss_pct in 1u32..40,
+        rounds in 1u32..10,
+        trace_cap in 0usize..400,
+        use_async in any::<bool>(),
+    ) {
+        let engine = if use_async { async_engine() } else { Engine::Sync };
+        let mut net = hostile_network(n, seed, f64::from(loss_pct) / 100.0, engine);
+        net.enable_trace(trace_cap);
+        let book = address_book(&net);
+        for _ in 0..rounds {
+            mixed_round(&mut net, &book);
+            let m = net.metrics();
+            prop_assert_eq!(m.messages, m.pushes + m.pull_requests + m.pull_replies);
+            prop_assert_eq!(m.payload_messages, m.pushes + m.pull_replies);
+            let traced = net.trace().events().len() as u64 + net.trace().dropped();
+            prop_assert_eq!(traced, m.messages, "every message is traced exactly once");
+        }
+    }
 
     /// Message and bit accounting is exact for an all-push round:
     /// `messages = alive`, `bits = alive * (header + payload)`.
@@ -157,16 +367,9 @@ proptest! {
     /// final states — and a different engine seed genuinely changes it.
     #[test]
     fn async_engine_determinism(n in 2usize..120, seed in 0u64..10_000, rounds in 1u32..5) {
-        use phonecall::{AsyncConfig, Engine, Latency};
         let run = |engine_seed: u64| {
             let mut net: Network<St> = Network::new(n, seed);
-            net.set_engine(
-                Engine::Async(AsyncConfig {
-                    rate: 1.0,
-                    latency: Latency::Exponential(0.5),
-                }),
-                engine_seed,
-            );
+            net.set_engine(async_engine(), engine_seed);
             net.set_message_loss(0.05);
             for _ in 0..rounds {
                 net.round(
