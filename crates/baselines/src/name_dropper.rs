@@ -43,14 +43,29 @@ pub struct DiscoveryReport {
 }
 
 /// Initial topology for the discovery task.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Topology {
     /// A directed ring: node `i` knows node `i+1 mod n` (diameter `n` —
     /// the hard case).
+    #[default]
     Ring,
     /// A random graph: each node knows 2 uniformly random others plus its
     /// ring successor (weakly connected, low diameter).
     SparseRandom,
+}
+
+impl Topology {
+    /// Every topology, in listing order.
+    pub const ALL: [Topology; 2] = [Topology::Ring, Topology::SparseRandom];
+
+    /// Stable label (the NameDropper `"topology"` parameter's value).
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        match self {
+            Topology::Ring => "ring",
+            Topology::SparseRandom => "sparse-random",
+        }
+    }
 }
 
 /// Runs Name-Dropper until the knowledge graph is complete (or

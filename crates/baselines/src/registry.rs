@@ -25,29 +25,20 @@ use std::fmt;
 use gossip_core::algo::{
     resolve_delta, Algorithm, Law, Scenario, CLUSTER1, CLUSTER2, CLUSTER3, CLUSTER_PUSH_PULL,
 };
-use gossip_core::params::{ParamError, Value};
+use gossip_core::params::{apply, quoted, render, wants, Param, ParamError, Value};
 use gossip_core::report::RunReport;
 use phonecall::normalize_name;
 
 use crate::name_dropper::{self, Topology};
 use crate::{avin_elsasser, karp, pull, push, push_pull, tree};
 
-/// Rejects any override for an algorithm without tunables (including
-/// non-object override documents, which would otherwise be silently
-/// ignored).
-fn no_params(name: &str, overrides: &Value) -> Result<(), ParamError> {
-    match overrides.expect_obj(&format!("{name} parameters"))? {
-        [] => Ok(()),
-        [(key, _), ..] => Err(ParamError(format!(
-            "unknown {name} parameter {key:?}; {name} has no tunable parameters"
-        ))),
-    }
-}
-
 macro_rules! simple_baseline {
     ($struct_name:ident, $static_name:ident, $name:literal, $law:expr, $about:literal, $module:ident) => {
-        #[doc = concat!("[`", stringify!($module), "`] as a trait object.")]
+        #[doc = concat!("[`", stringify!($module), "`] as a trait object, with no tunables.")]
+        #[derive(Clone)]
         pub struct $struct_name;
+
+        gossip_core::knobs!($struct_name, $name, []);
 
         #[doc = $about]
         pub static $static_name: $struct_name = $struct_name;
@@ -66,7 +57,7 @@ macro_rules! simple_baseline {
             }
 
             fn default_params(&self) -> Value {
-                Value::empty()
+                render(self)
             }
 
             fn run_with_params(
@@ -74,7 +65,7 @@ macro_rules! simple_baseline {
                 scenario: &Scenario,
                 overrides: &Value,
             ) -> Result<RunReport, ParamError> {
-                no_params($name, overrides)?;
+                apply(&mut $struct_name, overrides)?;
                 Ok($module::run(scenario.n(), scenario.common()))
             }
         }
@@ -144,7 +135,7 @@ impl Algorithm for NameDropperAlgo {
     }
 
     fn default_params(&self) -> Value {
-        Value::obj([("topology", Value::Str("ring".into()))])
+        render(&NameDropperParams::default())
     }
 
     fn run_with_params(
@@ -152,33 +143,39 @@ impl Algorithm for NameDropperAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        let mut topology = Topology::Ring;
-        for (key, v) in overrides.expect_obj("NameDropper parameters")? {
-            match key.as_str() {
-                "topology" => {
-                    topology = match v.as_str() {
-                        Some("ring") => Topology::Ring,
-                        Some("sparse-random") => Topology::SparseRandom,
-                        _ => {
-                            return Err(ParamError(format!(
-                            "parameter \"topology\" wants \"ring\" or \"sparse-random\", got {}",
-                            v.render()
-                        )))
-                        }
-                    }
-                }
-                _ => {
-                    return Err(ParamError(format!(
-                        "unknown NameDropper parameter {key:?}; valid keys: topology"
-                    )))
-                }
-            }
-        }
+        let mut p = NameDropperParams::default();
+        apply(&mut p, overrides)?;
         Ok(name_dropper::run_report(
             scenario.n(),
-            topology,
+            p.topology,
             scenario.common(),
         ))
+    }
+}
+
+/// The tunables of [`NAME_DROPPER`].
+#[derive(Clone, Default)]
+struct NameDropperParams {
+    topology: Topology,
+}
+
+gossip_core::knobs!(NameDropperParams, "NameDropper", [topology]);
+
+/// The initial topology by its label.
+impl Param for Topology {
+    fn to_value(&self) -> Value {
+        Value::Str(self.label().to_string())
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        *self = Topology::ALL
+            .into_iter()
+            .find(|t| v.as_str() == Some(t.label()))
+            .ok_or_else(|| {
+                let labels = Topology::ALL.map(Topology::label);
+                wants(key, &quoted(&labels, "or"), v)
+            })?;
+        Ok(())
     }
 }
 
@@ -204,7 +201,7 @@ impl Algorithm for TreeAlgo {
     }
 
     fn default_params(&self) -> Value {
-        Value::obj([("delta", Value::Null)])
+        render(&TreeParams::default())
     }
 
     fn run_with_params(
@@ -212,17 +209,21 @@ impl Algorithm for TreeAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        for (key, _) in overrides.expect_obj("Tree parameters")? {
-            if key != "delta" {
-                return Err(ParamError(format!(
-                    "unknown Tree parameter {key:?}; valid keys: delta"
-                )));
-            }
-        }
-        let delta = resolve_delta(overrides, scenario.n())?;
+        let mut p = TreeParams::default();
+        apply(&mut p, overrides)?;
+        let delta = resolve_delta(p.delta, scenario.n(), tree::MIN_DELTA)?;
         Ok(tree::run(scenario.n(), delta, scenario.common()))
     }
 }
+
+/// The tunables of [`TREE`]: the fan-in bound, `null` for
+/// [`auto_delta`](gossip_core::algo::auto_delta).
+#[derive(Clone, Default)]
+struct TreeParams {
+    delta: Option<usize>,
+}
+
+gossip_core::knobs!(TreeParams, "Tree", [delta]);
 
 /// Every algorithm in the repository, headline comparison first: the
 /// seven broadcast algorithms compared across experiments E1–E3 (in their

@@ -24,8 +24,10 @@
 
 use phonecall::{ChurnConfig, DirectAddressing, Engine, FailurePlan, Topology, TrafficConfig};
 
-use crate::config::{Cluster1Config, Cluster2Config, Cluster3Config, CommonConfig, PushPullConfig};
-use crate::params::{ParamError, Value};
+use crate::config::{
+    check_loss, Cluster1Config, Cluster2Config, Cluster3Config, CommonConfig, PushPullConfig,
+};
+use crate::params::{from_value, ParamError, Value};
 use crate::report::RunReport;
 use crate::{cluster1, cluster2, cluster3, cluster_push_pull};
 
@@ -147,10 +149,9 @@ impl Scenario {
     /// inside `Network::set_message_loss` if `p` is not in `[0, 1]`.
     #[must_use]
     pub fn message_loss(mut self, p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&p),
-            "scenario knob \"message_loss\" wants a probability in [0, 1], got {p}"
-        );
+        if let Err(e) = check_loss(&p) {
+            panic!("{e}");
+        }
         self.common.message_loss = p;
         self
     }
@@ -333,43 +334,29 @@ pub fn auto_delta(n: usize) -> usize {
     ((n as f64).sqrt().ceil() as usize).max(16)
 }
 
-/// Resolves the `"delta"` override (`null`/absent → [`auto_delta`]).
-/// Shared by every `Δ`-parameterized [`Algorithm`] impl, in-crate and in
-/// the baselines (the oracle tree).
+/// Resolves a `"delta"` override (`None` → [`auto_delta`], which is at
+/// least 16) against the algorithm's smallest workable `Δ`. Shared by
+/// every `Δ`-parameterized [`Algorithm`] impl, in-crate and in the
+/// baselines (the oracle tree).
 ///
 /// # Errors
 ///
-/// Rejects non-integer, non-null `"delta"` values.
-pub fn resolve_delta(overrides: &Value, n: usize) -> Result<usize, ParamError> {
-    match overrides.get("delta") {
-        None | Some(Value::Null) => Ok(auto_delta(n)),
-        Some(v) => v.as_u64().map(|d| d as usize).ok_or_else(|| {
-            ParamError(format!(
-                "parameter \"delta\" wants an integer or null, got {}",
-                v.render()
-            ))
-        }),
+/// Rejects a `delta` below `min`, naming the knob and the minimum.
+pub fn resolve_delta(delta: Option<usize>, n: usize, min: usize) -> Result<usize, ParamError> {
+    match delta {
+        None => Ok(auto_delta(n)),
+        Some(d) if d >= min => Ok(d),
+        Some(d) => Err(ParamError(format!(
+            "parameter \"delta\" wants an integer >= {min} (or null), got {d}"
+        ))),
     }
 }
 
-/// The `overrides` object without its `"delta"` entry (which the
-/// algorithm consumes itself rather than its config).
-fn without_delta(overrides: &Value) -> Value {
-    Value::Obj(
-        overrides
-            .entries()
-            .iter()
-            .filter(|(k, _)| k != "delta")
-            .cloned()
-            .collect(),
-    )
-}
-
-/// Prepends `("delta", null)` to a config's parameter object.
-fn with_delta_param(params: Value) -> Value {
-    let mut entries = vec![("delta".to_string(), Value::Null)];
-    entries.extend(params.entries().iter().cloned());
-    Value::Obj(entries)
+/// The `"delta"` entry of `overrides` (which the algorithm consumes
+/// itself, rather than its config), resolved by [`resolve_delta`].
+fn delta_param(overrides: &Value, n: usize) -> Result<usize, ParamError> {
+    let delta = from_value("delta", overrides.get("delta").unwrap_or(&Value::Null))?;
+    resolve_delta(delta, n, cluster3::MIN_DELTA)
 }
 
 /// Algorithm 1 (`Cluster1`) as a trait object — see [`crate::cluster1`].
@@ -469,7 +456,9 @@ impl Algorithm for Cluster3Algo {
     }
 
     fn default_params(&self) -> Value {
-        with_delta_param(Cluster3Config::default().params())
+        Cluster3Config::default()
+            .params()
+            .with_first("delta", Value::Null)
     }
 
     fn run_with_params(
@@ -477,10 +466,9 @@ impl Algorithm for Cluster3Algo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        overrides.expect_obj("Cluster3 parameters")?;
-        let delta = resolve_delta(overrides, scenario.n())?;
+        let delta = delta_param(overrides, scenario.n())?;
         let mut cfg = Cluster3Config::default();
-        cfg.apply_params(&without_delta(overrides))?;
+        cfg.apply_params(&overrides.without("delta"))?;
         cfg.common = scenario.common().clone();
         cfg.c2.common = scenario.common().clone();
         let (mut sim, delta_report) = cluster3::build(scenario.n(), delta, &cfg);
@@ -513,7 +501,9 @@ impl Algorithm for ClusterPushPullAlgo {
     }
 
     fn default_params(&self) -> Value {
-        with_delta_param(PushPullConfig::default().params())
+        PushPullConfig::default()
+            .params()
+            .with_first("delta", Value::Null)
     }
 
     fn run_with_params(
@@ -521,10 +511,9 @@ impl Algorithm for ClusterPushPullAlgo {
         scenario: &Scenario,
         overrides: &Value,
     ) -> Result<RunReport, ParamError> {
-        overrides.expect_obj("ClusterPushPull parameters")?;
-        let delta = resolve_delta(overrides, scenario.n())?;
+        let delta = delta_param(overrides, scenario.n())?;
         let mut cfg = PushPullConfig::default();
-        cfg.apply_params(&without_delta(overrides))?;
+        cfg.apply_params(&overrides.without("delta"))?;
         cfg.common = scenario.common().clone();
         Ok(cluster_push_pull::run(scenario.n(), delta, &cfg))
     }

@@ -50,6 +50,10 @@ pub struct DeltaClusteringReport {
     pub complete: bool,
 }
 
+/// The smallest `Δ` the construction accepts (it needs a little
+/// head-room; the paper assumes `Δ = log^{ω(1)} n`).
+pub const MIN_DELTA: usize = 8;
+
 /// Builds a `Θ(Δ)`-clustering over a fresh `n`-node network and returns
 /// the simulation (for running broadcasts on top) plus the report.
 ///
@@ -79,8 +83,8 @@ pub fn build(n: usize, delta: usize, cfg: &Cluster3Config) -> (ClusterSim, Delta
 /// Panics if `delta < 8`.
 pub fn run_on(sim: &mut ClusterSim, delta: usize, cfg: &Cluster3Config) -> DeltaClusteringReport {
     assert!(
-        delta >= 8,
-        "delta-clusterings need delta >= 8 (paper: log^w(1) n)"
+        delta >= MIN_DELTA,
+        "delta-clusterings need delta >= {MIN_DELTA} (paper: log^w(1) n)"
     );
     let n = sim.n();
     let l = log2n(n);

@@ -14,6 +14,15 @@
 //! crates for the real ones later only *adds* capability; this module is
 //! the part that has to work today. Object keys keep insertion order, so
 //! `parse(render(v)) == v` exactly (see the round-trip tests).
+//!
+//! A config struct becomes such a document through one **knob table**
+//! ([`Knobs`], built with [`knobs!`](crate::knobs)): each row names a key
+//! once and says how the field is read into a [`Value`] and written back
+//! from one ([`Param`]). The generic [`render`] and [`apply`] serve every
+//! config from its table, so the keys a document carries, the keys an
+//! override may use and the "valid keys" listing of an error cannot
+//! drift apart. Kind-tagged enums (`{"kind": "ring"}`) share
+//! [`read_tag`] and [`check_knobs`].
 
 use std::fmt;
 
@@ -52,6 +61,338 @@ pub(crate) fn err(msg: impl Into<String>) -> ParamError {
     ParamError(msg.into())
 }
 
+/// A knob's field type: how the field is read into a [`Value`] and
+/// written back from one.
+pub trait Param {
+    /// The field as a JSON value.
+    fn to_value(&self) -> Value;
+
+    /// Overwrites the field from a JSON value.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamError`] naming `key` for a wrongly typed or
+    /// out-of-range value.
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError>;
+}
+
+/// The error for a parameter `key` whose value `v` is not `what`.
+#[must_use]
+pub fn wants(key: &str, what: &str, v: &Value) -> ParamError {
+    err(format!(
+        "parameter {key:?} wants {what}, got {}",
+        v.render()
+    ))
+}
+
+/// A fresh `T` read from `v` (a default `T` with `v` written into it).
+///
+/// # Errors
+///
+/// Returns the error of [`Param::set`].
+pub fn from_value<T: Param + Default>(key: &str, v: &Value) -> Result<T, ParamError> {
+    let mut x = T::default();
+    x.set(key, v)?;
+    Ok(x)
+}
+
+/// One row of a knob table.
+pub struct Knob<C> {
+    /// The JSON key (the field's name).
+    pub key: &'static str,
+    /// Reads the knob.
+    pub get: fn(&C) -> Value,
+    /// Writes the knob, including the knob's own check.
+    pub set: fn(&mut C, &Value) -> Result<(), ParamError>,
+}
+
+/// A config whose knobs travel as one JSON object, described by its knob
+/// table (see [`knobs!`](crate::knobs)).
+pub trait Knobs: Clone + 'static {
+    /// The config's name in error messages (`"unknown {NAME} parameter"`).
+    const NAME: &'static str;
+    /// One row per key, in render order.
+    const TABLE: &'static [Knob<Self>];
+
+    /// Whole-config check an [`apply`] must pass before it commits.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ParamError`] naming the offending knob.
+    fn check(&self) -> Result<(), ParamError> {
+        Ok(())
+    }
+}
+
+/// A config's knobs as a JSON object, in table order.
+#[must_use]
+pub fn render<C: Knobs>(c: &C) -> Value {
+    Value::Obj(
+        C::TABLE
+            .iter()
+            .map(|k| (k.key.to_string(), (k.get)(c)))
+            .collect(),
+    )
+}
+
+/// Applies a JSON object of overrides onto a config, all or nothing: the
+/// overrides are written into a copy, which must pass [`Knobs::check`]
+/// before it replaces `c`.
+///
+/// # Errors
+///
+/// Rejects a non-object document, unknown keys (listing the table's
+/// keys), wrongly typed or out-of-range values and a failed check; `c` is
+/// then left as it was.
+pub fn apply<C: Knobs>(c: &mut C, overrides: &Value) -> Result<(), ParamError> {
+    let mut next = c.clone();
+    for (key, v) in overrides.expect_obj(&format!("{} parameters", C::NAME))? {
+        let knob = C::TABLE.iter().find(|k| k.key == key).ok_or_else(|| {
+            let valid: Vec<&str> = C::TABLE.iter().map(|k| k.key).collect();
+            err(format!(
+                "unknown {} parameter {key:?}; valid keys: {valid:?}",
+                C::NAME
+            ))
+        })?;
+        (knob.set)(&mut next, v)?;
+    }
+    next.check()?;
+    *c = next;
+    Ok(())
+}
+
+/// A nested config is one knob of its parent, rendered and applied
+/// through its own table.
+impl<C: Knobs> Param for C {
+    fn to_value(&self) -> Value {
+        render(self)
+    }
+
+    fn set(&mut self, _key: &str, v: &Value) -> Result<(), ParamError> {
+        apply(self, v)
+    }
+}
+
+/// Implements [`Knobs`](crate::params::Knobs) for a config struct from its
+/// knob table: each listed field travels under its own name, in listed
+/// order, through its [`Param`](crate::params::Param) conversion.
+/// `field(check)` adds a per-knob check and a trailing path a
+/// whole-config check, both `fn(&T) -> Result<(), String>`.
+///
+/// ```
+/// use gossip_core::params::{apply, render, Value};
+///
+/// #[derive(Clone, Default)]
+/// struct Tuning {
+///     rounds: u32,
+///     scale: f64,
+/// }
+/// gossip_core::knobs!(Tuning, "Tuning", [rounds, scale]);
+///
+/// let mut t = Tuning::default();
+/// apply(&mut t, &Value::parse(r#"{"scale": 2.5}"#).unwrap()).unwrap();
+/// assert_eq!(render(&t).render(), r#"{"rounds":0,"scale":2.5}"#);
+/// assert!(apply(&mut t, &Value::parse(r#"{"speed": 1}"#).unwrap()).is_err());
+/// ```
+#[macro_export]
+macro_rules! knobs {
+    ($ty:ty, $name:literal, [$($field:ident $(($check:path))?),* $(,)?] $(, $validate:path)?) => {
+        impl $crate::params::Knobs for $ty {
+            const NAME: &'static str = $name;
+            const TABLE: &'static [$crate::params::Knob<Self>] = &[$($crate::params::Knob {
+                key: stringify!($field),
+                get: |c| $crate::params::Param::to_value(&c.$field),
+                set: |c, v| {
+                    $crate::params::Param::set(&mut c.$field, stringify!($field), v)?;
+                    $($check(&c.$field).map_err($crate::params::ParamError)?;)?
+                    Ok(())
+                },
+            }),*];
+
+            $(fn check(&self) -> Result<(), $crate::params::ParamError> {
+                $validate(self).map_err($crate::params::ParamError)
+            })?
+        }
+    };
+}
+
+/// Reads the tag of a kind-tagged object such as `{"kind": "ring"}`: the
+/// string under `tag_key`, which must be one of `tags`. `what` names the
+/// enum in errors.
+///
+/// # Errors
+///
+/// Rejects a non-object document, a missing or non-string tag, and an
+/// unknown tag (listing the valid ones).
+pub fn read_tag<'v>(
+    what: &str,
+    tag_key: &str,
+    tags: &[&str],
+    v: &'v Value,
+) -> Result<&'v str, ParamError> {
+    v.expect_obj(&format!("{what} parameters"))?;
+    let tag = v
+        .get(tag_key)
+        .ok_or_else(|| err(format!("{what} parameters need a {tag_key:?} key")))?;
+    let tag = tag
+        .as_str()
+        .ok_or_else(|| wants(tag_key, "a string", tag))?;
+    if !tags.contains(&tag) {
+        return Err(err(format!(
+            "unknown {what} {tag_key} {tag:?}; valid {tag_key}s: {}",
+            quoted(tags, "or")
+        )));
+    }
+    Ok(tag)
+}
+
+/// Checks the knobs of a kind-tagged object whose tag (under `tag_key`)
+/// is `tag`: every one of `knobs` is required and every other key is
+/// rejected.
+///
+/// # Errors
+///
+/// Names the first key the variant does not take, or every knob when one
+/// is missing.
+pub fn check_knobs(
+    what: &str,
+    tag_key: &str,
+    tag: &str,
+    knobs: &[&str],
+    v: &Value,
+) -> Result<(), ParamError> {
+    if let Some((key, _)) = v
+        .entries()
+        .iter()
+        .find(|(k, _)| k != tag_key && !knobs.contains(&k.as_str()))
+    {
+        return Err(err(if knobs.is_empty() {
+            format!("{what} {tag_key} {tag:?} has no knobs; {key:?} does not apply")
+        } else {
+            format!(
+                "{what} {tag_key} {tag:?} does not take knob {key:?}; valid knobs: {}",
+                knobs.join(", ")
+            )
+        }));
+    }
+    if knobs.iter().any(|k| v.get(k).is_none()) {
+        return Err(err(format!(
+            "{what} {tag_key} {tag:?} needs {}",
+            quoted(knobs, "and")
+        )));
+    }
+    Ok(())
+}
+
+/// `"a", "b" or "c"` (with `conj` as the last separator).
+#[must_use]
+pub fn quoted(items: &[&str], conj: &str) -> String {
+    let quoted: Vec<String> = items.iter().map(|s| format!("{s:?}")).collect();
+    match quoted.split_last() {
+        Some((last, rest)) if !rest.is_empty() => format!("{} {conj} {last}", rest.join(", ")),
+        _ => quoted.concat(),
+    }
+}
+
+impl Param for f64 {
+    fn to_value(&self) -> Value {
+        Value::Num(*self)
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        *self = v.as_f64().ok_or_else(|| wants(key, "a number", v))?;
+        Ok(())
+    }
+}
+
+/// A `u64` travels as a plain number when exactly representable as `f64`
+/// (≤ 2^53), else as a decimal string — JSON numbers are doubles, and
+/// silently rounding a 64-bit seed would break exact replay. Both forms
+/// are accepted back.
+impl Param for u64 {
+    fn to_value(&self) -> Value {
+        if *self <= (1u64 << 53) {
+            Value::Num(*self as f64)
+        } else {
+            Value::Str(self.to_string())
+        }
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        let x = match v {
+            Value::Str(s) => s.parse().ok(),
+            _ => v.as_u64(),
+        };
+        *self = x.ok_or_else(|| wants(key, "an integer", v))?;
+        Ok(())
+    }
+}
+
+macro_rules! narrow_int_param {
+    ($($t:ty),*) => {$(
+        impl Param for $t {
+            fn to_value(&self) -> Value {
+                (*self as u64).to_value()
+            }
+
+            fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+                let x: u64 = from_value(key, v)?;
+                *self = <$t>::try_from(x)
+                    .map_err(|_| err(format!("parameter {key:?} out of range: {x}")))?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+narrow_int_param!(u32, usize);
+
+impl Param for String {
+    fn to_value(&self) -> Value {
+        Value::Str(self.clone())
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        *self = v
+            .as_str()
+            .ok_or_else(|| wants(key, "a string", v))?
+            .to_string();
+        Ok(())
+    }
+}
+
+/// `None` travels as `null`.
+impl<T: Param + Default> Param for Option<T> {
+    fn to_value(&self) -> Value {
+        self.as_ref().map_or(Value::Null, Param::to_value)
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        *self = match v {
+            Value::Null => None,
+            _ => Some(from_value(key, v)?),
+        };
+        Ok(())
+    }
+}
+
+impl<T: Param + Default> Param for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Arr(self.iter().map(Param::to_value).collect())
+    }
+
+    fn set(&mut self, key: &str, v: &Value) -> Result<(), ParamError> {
+        let Value::Arr(items) = v else {
+            return Err(wants(key, "an array", v));
+        };
+        *self = items
+            .iter()
+            .map(|x| from_value(key, x))
+            .collect::<Result<_, _>>()?;
+        Ok(())
+    }
+}
+
 impl Value {
     /// An empty JSON object (`{}`) — the "no overrides" document.
     #[must_use]
@@ -85,6 +426,28 @@ impl Value {
         match self {
             Value::Obj(entries) => entries,
             _ => &[],
+        }
+    }
+
+    /// This object with `(key, value)` inserted as its first entry.
+    #[must_use]
+    pub fn with_first(self, key: &str, value: Value) -> Value {
+        let mut entries = vec![(key.to_string(), value)];
+        if let Value::Obj(rest) = self {
+            entries.extend(rest);
+        }
+        Value::Obj(entries)
+    }
+
+    /// This object without its `key` entry (non-objects unchanged, so a
+    /// later [`Value::expect_obj`] still rejects them).
+    #[must_use]
+    pub fn without(&self, key: &str) -> Value {
+        match self {
+            Value::Obj(entries) => {
+                Value::Obj(entries.iter().filter(|(k, _)| k != key).cloned().collect())
+            }
+            other => other.clone(),
         }
     }
 
@@ -197,11 +560,13 @@ impl Value {
     /// # Errors
     ///
     /// Returns a [`ParamError`] describing the first syntax error (with
-    /// byte offset) or trailing garbage.
+    /// byte offset), nesting deeper than [`MAX_DEPTH`], or trailing
+    /// garbage.
     pub fn parse(text: &str) -> Result<Value, ParamError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -232,9 +597,15 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest array/object nesting [`Value::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth would let a short
+/// document (`[[[[…`) overflow the stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -280,8 +651,22 @@ impl Parser<'_> {
             Some(b't') if self.eat_lit("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_lit("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if b == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(err(format!("unexpected input at byte {}", self.pos))),
         }
@@ -467,6 +852,19 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("42 junk").unwrap_err().0.contains("trailing"));
         assert!(Value::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_depth_is_capped() {
+        let e = Value::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(e.0.contains("nesting deeper"), "{e}");
+        assert!(e.0.contains(&format!("byte {MAX_DEPTH}")), "{e}");
+        let e = Value::parse(&"{\"a\":".repeat(200)).unwrap_err();
+        assert!(e.0.contains("nesting deeper"), "{e}");
+
+        let deep = format!("{}{}", "[".repeat(100), "]".repeat(100));
+        let v = Value::parse(&deep).unwrap();
+        assert_eq!(v.render(), deep);
     }
 
     #[test]

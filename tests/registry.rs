@@ -165,3 +165,119 @@ fn registry_runs_default_broadcast_scenario() {
         assert_eq!(r.n, 512);
     }
 }
+
+/// Every rendered parameter document, pinned byte for byte: the key
+/// order, the nesting and the string form of 64-bit values above 2^53.
+/// The strings were printed by the hand-written renderers that predate
+/// the knob tables, so a table that moves a key, renames one or changes
+/// a value's encoding fails here.
+#[test]
+fn rendered_parameter_documents_are_pinned() {
+    const C2: &str = r#"{"c_sample":8,"c_cap":8,"grow_slack":4,"square_safety":4,"bounded_push_stall":1.1,"bounded_push_slack":4,"pull_slack":4,"assumed_n":null}"#;
+    let cluster3 = format!(r#"{{"c_headroom":5,"merge_boost":10,"c2":{C2}}}"#);
+    let expected = [
+        ("Cluster2", C2.to_string()),
+        (
+            "Cluster1",
+            r#"{"c_sample":8,"c_min":1,"grow_slack":3,"square_safety":4,"pull_slack":4}"#.into(),
+        ),
+        ("AvinElsasser", "{}".into()),
+        ("Karp", "{}".into()),
+        ("PushPull", "{}".into()),
+        ("Push", "{}".into()),
+        ("Pull", "{}".into()),
+        (
+            "Cluster3",
+            format!(r#"{{"delta":null,"c_headroom":5,"merge_boost":10,"c2":{C2}}}"#),
+        ),
+        (
+            "ClusterPushPull",
+            format!(r#"{{"delta":null,"loop_slack":3,"cluster3":{cluster3}}}"#),
+        ),
+        ("Tree", r#"{"delta":null}"#.into()),
+        ("NameDropper", r#"{"topology":"ring"}"#.into()),
+    ];
+    let rendered: Vec<(&str, String)> = registry::all()
+        .iter()
+        .map(|a| (a.name(), a.default_params().render()))
+        .collect();
+    assert_eq!(rendered, expected);
+
+    assert_eq!(
+        CommonConfig::default().params().render(),
+        concat!(
+            r#"{"seed":12648430,"rumor_bits":256,"source":0,"extra_sources":[],"failures":[],"#,
+            r#""message_loss":0,"churn":{"crash_rate":0,"batch_size":1,"recovery_rate":0,"#,
+            r#""burst_enter":0,"burst_exit":0,"burst_loss":0,"start_round":0,"stop_round":null,"#,
+            r#""protected":[],"max_crashed_frac":0.5},"topology":{"kind":"complete"},"#,
+            r#""addressing":"overlay","traffic":{"rumors":0,"arrival_rate":1,"bandwidth":0,"#,
+            r#""start_round":0},"engine":{"mode":"sync"}}"#,
+        )
+    );
+
+    let full = CommonConfig {
+        seed: u64::MAX - 12345,
+        rumor_bits: 512,
+        source: 3,
+        extra_sources: vec![5, 9],
+        failures: FailurePlan::explicit(vec![NodeIdx(8), NodeIdx(2)]),
+        message_loss: 0.125,
+        churn: ChurnConfig {
+            crash_rate: 0.25,
+            batch_size: 4,
+            recovery_rate: 0.1,
+            burst_enter: 0.05,
+            burst_exit: 0.3,
+            burst_loss: 0.6,
+            start_round: 2,
+            stop_round: Some(40),
+            protected: vec![0, 1],
+            max_crashed_frac: 0.4,
+        },
+        topology: Topology::WattsStrogatz(6, 0.25),
+        addressing: DirectAddressing::Restricted,
+        traffic: TrafficConfig {
+            rumors: 32,
+            arrival_rate: 2.5,
+            bandwidth: 3,
+            start_round: 4,
+        },
+        engine: Engine::Async(AsyncConfig {
+            rate: 2.0,
+            latency: Latency::Uniform(0.1, 1.5),
+        }),
+    };
+    assert_eq!(
+        full.params().render(),
+        concat!(
+            r#"{"seed":"18446744073709539270","rumor_bits":512,"source":3,"extra_sources":[5,9],"#,
+            r#""failures":[2,8],"message_loss":0.125,"churn":{"crash_rate":0.25,"batch_size":4,"#,
+            r#""recovery_rate":0.1,"burst_enter":0.05,"burst_exit":0.3,"burst_loss":0.6,"#,
+            r#""start_round":2,"stop_round":40,"protected":[0,1],"max_crashed_frac":0.4},"#,
+            r#""topology":{"kind":"watts_strogatz","k":6,"beta":0.25},"addressing":"restricted","#,
+            r#""traffic":{"rumors":32,"arrival_rate":2.5,"bandwidth":3,"start_round":4},"#,
+            r#""engine":{"mode":"async","rate":2,"latency":{"kind":"uniform","lo":0.1,"hi":1.5}}}"#,
+        )
+    );
+}
+
+/// A `delta` below what a `Δ`-algorithm can run with is a parameter
+/// error naming the knob and the minimum, not a panic; the minimum
+/// itself runs.
+#[test]
+fn delta_below_the_minimum_is_an_error() {
+    let scenario = Scenario::broadcast(64).seed(4);
+    for (name, min) in [("Cluster3", 8), ("ClusterPushPull", 8), ("Tree", 2)] {
+        let algo = registry::by_name(name).unwrap();
+        let delta = |d: usize| Value::obj([("delta", Value::Num(d as f64))]);
+        for below in 0..min {
+            let err = algo
+                .run_with_params(&scenario, &delta(below))
+                .expect_err("delta below the minimum must be rejected");
+            assert!(err.0.contains("\"delta\""), "{name}: {err}");
+            assert!(err.0.contains(&format!(">= {min}")), "{name}: {err}");
+        }
+        algo.run_with_params(&scenario, &delta(min))
+            .unwrap_or_else(|e| panic!("{name} rejects delta = {min}: {e}"));
+    }
+}
